@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the SINR reception resolver backends — naive
-//! oracle vs grid short-circuit vs cell-aggregated interference — across
-//! transmitter densities.
+//! oracle vs the default aggregated backend — across transmitter
+//! densities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcluster_sim::{deploy, rng::Rng64, Network, ResolverKind};

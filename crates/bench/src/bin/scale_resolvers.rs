@@ -1,21 +1,23 @@
-//! **Resolver scaling sweep** — wall clock and agreement of the four
+//! **Resolver scaling sweep** — wall clock and agreement of the two
 //! SINR resolver backends on uniform deployments, up to 10⁵ nodes.
 //!
-//! Two sweep modes per network size:
+//! Three sweep modes per network size:
 //!
+//! * **few** — rotating sets of exactly `DIRECT_MAX_TX` and
+//!   `4·DIRECT_MAX_TX` transmitters, one on each side of the threshold
+//!   where `aggregated` switches from the direct sum to its field;
 //! * **rotate** — deterministic rotating transmitter sets at two
-//!   densities: consecutive rounds are unrelated, so every backend
-//!   (including the persistent ones, whose sparse-patch heuristic bails
-//!   to a rebuild on large diffs) pays the full per-round field cost;
+//!   densities: consecutive rounds are unrelated, so the field cache's
+//!   sparse-patch heuristic bails to a rebuild and every round pays the
+//!   full field cost;
 //! * **evolve** — a saturated membership set (99.95% transmit — the
 //!   busy-tone/wake-up-storm regime, where the round cost *is* the
-//!   interference field) churned by ~0.01% of the nodes per round: the
-//!   persistent backends patch the cached field with the sparse diff
-//!   instead of rebuilding it, and the per-round speedup over
-//!   rebuild-from-scratch `aggregated` is recorded (the ROADMAP's ≥2×
-//!   target at 10⁵ nodes).
+//!   interference field) churned by ~0.01% of the nodes per round:
+//!   `aggregated` patches its cached field with the sparse diff, and the
+//!   speedup over a fresh `aggregated` per round (`aggregated-rebuild`,
+//!   which rebuilds the field every round) is recorded.
 //!
-//! Both modes audit that every backend returns identical receptions
+//! Every mode audits that both backends return identical receptions
 //! (the naive oracle joins only at sizes where its `O(n·|T|)` cost stays
 //! reasonable); the audit reuses one resolver instance per backend
 //! across rounds, so the persistent patch path is what gets audited.
@@ -23,8 +25,8 @@
 //! Scale tiers (`DCLUSTER_SCALE`):
 //!
 //! * `ci` — n up to ≈2·10³; additionally acts as the CI gate: exits
-//!   non-zero if any backend disagrees anywhere or `aggregated`'s total
-//!   rotate-mode wall clock regresses to more than 2× of `grid`'s.
+//!   non-zero if the backends disagree anywhere or `aggregated`'s total
+//!   few- and rotate-mode wall clock exceeds 2× of `naive`'s.
 //! * `quick` (default) — n up to 2·10⁴.
 //! * `full` — n up to 10⁵ (the ROADMAP scale target).
 //!
@@ -38,7 +40,7 @@ use dcluster_bench::{
     print_table, scale, scenario_override, write_csv, Runner, Scale, ScenarioSpec,
 };
 use dcluster_core::check::audit_resolver_equivalence;
-use dcluster_sim::{rng::Rng64, Network, ResolverKind};
+use dcluster_sim::{rng::Rng64, Network, ResolverKind, DIRECT_MAX_TX};
 use std::time::Instant;
 
 /// Rounds resolved per (n, density) configuration.
@@ -47,7 +49,7 @@ const ROUNDS: usize = 8;
 const NAIVE_CAP: usize = 4_000;
 /// Transmit fraction of the evolve mode (saturated: almost everyone
 /// transmits, so per-round cost is dominated by the interference field,
-/// which the persistent backends patch instead of rebuilding).
+/// which `aggregated` patches instead of rebuilding).
 const EVOLVE_FRAC: f64 = 0.9995;
 /// Fraction of nodes whose membership flips per evolve round. Kept
 /// sparse (0.01%) so churn does not accumulate a listener pool across
@@ -59,23 +61,69 @@ struct Row {
     n: usize,
     tx_frac: f64,
     tx_avg: usize,
-    kind: ResolverKind,
+    /// A backend name, or `aggregated-rebuild`.
+    resolver: &'static str,
     millis: f64,
     receptions: u64,
 }
 
-/// Times `ROUNDS` resolves of `tx_sets` through one persistent resolver
-/// instance (so the backend's cross-round state — if any — is in play).
-fn time_kind(net: &Network, kind: ResolverKind, tx_sets: &[Vec<usize>]) -> (f64, u64) {
+impl Row {
+    fn new(mode: &'static str, n: usize, tx_sets: &[Vec<usize>], resolver: &'static str) -> Self {
+        Row {
+            mode,
+            n,
+            tx_frac: 0.0,
+            tx_avg: tx_sets.iter().map(Vec::len).sum::<usize>() / tx_sets.len(),
+            resolver,
+            millis: 0.0,
+            receptions: 0,
+        }
+    }
+}
+
+/// Times `ROUNDS` resolves of `tx_sets` through `kind`: one instance for
+/// every round, so the backend's cross-round state is in play, or a fresh
+/// instance per round when `fresh_per_round` (evolve mode's rebuild
+/// baseline).
+fn time_kind(
+    net: &Network,
+    kind: ResolverKind,
+    tx_sets: &[Vec<usize>],
+    fresh_per_round: bool,
+) -> (f64, u64) {
     let mut resolver = kind.build();
     let mut out = Vec::new();
     let mut receptions = 0u64;
     let start = Instant::now();
     for tx in tx_sets {
+        if fresh_per_round {
+            resolver = kind.build();
+        }
         resolver.resolve_into(net, tx, &mut out);
         receptions += out.len() as u64;
     }
     (start.elapsed().as_secs_f64() * 1e3, receptions)
+}
+
+/// Audits the backends in `audited` against each other over `tx_sets`,
+/// reporting a disagreement on stderr; returns whether they agreed.
+fn audit(net: &Network, tx_sets: &[Vec<usize>], audited: &[ResolverKind], label: &str) -> bool {
+    match audit_resolver_equivalence(net, tx_sets, audited) {
+        None => true,
+        Some(d) => {
+            eprintln!(
+                "DISAGREEMENT at n={}, {label}: {} vs {} in audited round {} \
+                 ({} vs {} receptions)",
+                net.len(),
+                d.disagreeing,
+                d.reference,
+                d.round,
+                d.got.len(),
+                d.expected.len()
+            );
+            false
+        }
+    }
 }
 
 fn main() {
@@ -107,7 +155,30 @@ fn main() {
             .expect("sweep spec is valid");
         let n = net.len();
 
-        // Mode 1: rotating, unrelated transmitter sets.
+        // The backends timed and audited at this size: the oracle joins
+        // only where its O(n·|T|) cost stays reasonable.
+        let kinds: Vec<ResolverKind> = if n <= NAIVE_CAP {
+            ResolverKind::ALL.to_vec()
+        } else {
+            vec![ResolverKind::Aggregated]
+        };
+
+        // Modes 1 and 2: rotating, unrelated transmitter sets, of a fixed
+        // size around the direct-sum threshold or a fixed fraction of n.
+        let mut rotating: Vec<(&'static str, f64, Vec<Vec<usize>>)> = Vec::new();
+        for count in [DIRECT_MAX_TX, 4 * DIRECT_MAX_TX] {
+            let tx_sets: Vec<Vec<usize>> = (0..ROUNDS)
+                .map(|r| {
+                    let mut rr = Rng64::new((n as u64) << 8 | r as u64);
+                    let mut order: Vec<usize> = (0..n).collect();
+                    rr.shuffle(&mut order);
+                    order.truncate(count.min(n));
+                    order.sort_unstable();
+                    order
+                })
+                .collect();
+            rotating.push(("few", count as f64 / n as f64, tx_sets));
+        }
         for &frac in &tx_fracs {
             // Deterministic rotating transmitter sets: round r transmits the
             // nodes whose (index + r·stride) hashes under the fraction.
@@ -117,46 +188,27 @@ fn main() {
                     (0..n).filter(|_| rr.chance(frac)).collect()
                 })
                 .collect();
-            let tx_avg = tx_sets.iter().map(Vec::len).sum::<usize>() / ROUNDS;
-
-            let mut audited: Vec<ResolverKind> = vec![
-                ResolverKind::Grid,
-                ResolverKind::Aggregated,
-                ResolverKind::Parallel,
-            ];
-            if n <= NAIVE_CAP {
-                audited.insert(0, ResolverKind::Naive);
-            }
-            if let Some(d) = audit_resolver_equivalence(&net, &tx_sets, &audited) {
+            rotating.push(("rotate", frac, tx_sets));
+        }
+        for (mode, frac, tx_sets) in rotating {
+            let label = format!("{mode}, tx_frac={frac:.4}");
+            if !audit(&net, &tx_sets, &kinds, &label) {
                 disagreements += 1;
-                eprintln!(
-                    "DISAGREEMENT at n={n}, tx_frac={frac}: {} vs {} in audited round {} \
-                     ({} vs {} receptions)",
-                    d.disagreeing,
-                    d.reference,
-                    d.round,
-                    d.got.len(),
-                    d.expected.len()
-                );
             }
-
-            for kind in audited {
-                let (millis, receptions) = time_kind(&net, kind, &tx_sets);
+            for &kind in &kinds {
+                let (millis, receptions) = time_kind(&net, kind, &tx_sets, false);
                 rows.push(Row {
-                    mode: "rotate",
-                    n,
                     tx_frac: frac,
-                    tx_avg,
-                    kind,
                     millis,
                     receptions,
+                    ..Row::new(mode, n, &tx_sets, kind.name())
                 });
             }
-            eprintln!("done: n={n}, tx_frac={frac} (rotate)");
+            eprintln!("done: n={n}, {label}");
         }
 
-        // Mode 2: saturated membership with sparse churn — the persistent
-        // backends patch the cached field instead of rebuilding it.
+        // Mode 3: saturated membership with sparse churn — the persistent
+        // field is patched instead of rebuilt.
         {
             let mut rng = Rng64::new(0xE01_5E7 ^ n as u64);
             let mut member: Vec<bool> = (0..n).map(|_| rng.chance(EVOLVE_FRAC)).collect();
@@ -170,49 +222,28 @@ fn main() {
                     (0..n).filter(|&v| member[v]).collect()
                 })
                 .collect();
-            let tx_avg = tx_sets.iter().map(Vec::len).sum::<usize>() / ROUNDS;
-
-            // Grid is pathological at dense |T| and large n; the oracle of
-            // this mode is `aggregated` (itself audited against naive and
-            // grid in rotate mode and at small n here).
-            let mut audited: Vec<ResolverKind> =
-                vec![ResolverKind::Aggregated, ResolverKind::Parallel];
-            if n <= NAIVE_CAP {
-                audited.insert(0, ResolverKind::Naive);
-            }
-            if let Some(d) = audit_resolver_equivalence(&net, &tx_sets, &audited) {
+            if !audit(&net, &tx_sets, &kinds, "evolve") {
                 disagreements += 1;
-                eprintln!(
-                    "DISAGREEMENT at n={n} (evolve): {} vs {} in audited round {} \
-                     ({} vs {} receptions)",
-                    d.disagreeing,
-                    d.reference,
-                    d.round,
-                    d.got.len(),
-                    d.expected.len()
-                );
             }
-
-            let mut timed = std::collections::HashMap::new(); // lint:allow(D1, reason = "keyed by backend; read back by key in fixed list order")
-            for kind in [ResolverKind::Aggregated, ResolverKind::Parallel] {
-                let (millis, receptions) = time_kind(&net, kind, &tx_sets);
-                timed.insert(kind, millis);
-                rows.push(Row {
-                    mode: "evolve",
-                    n,
-                    tx_frac: EVOLVE_FRAC,
-                    tx_avg,
-                    kind,
-                    millis,
-                    receptions,
-                });
-            }
-            let agg = timed[&ResolverKind::Aggregated];
-            let par = timed[&ResolverKind::Parallel];
+            let (rebuild, receptions) = time_kind(&net, ResolverKind::Aggregated, &tx_sets, true);
+            rows.push(Row {
+                tx_frac: EVOLVE_FRAC,
+                millis: rebuild,
+                receptions,
+                ..Row::new("evolve", n, &tx_sets, "aggregated-rebuild")
+            });
+            let (persistent, receptions) =
+                time_kind(&net, ResolverKind::Aggregated, &tx_sets, false);
+            rows.push(Row {
+                tx_frac: EVOLVE_FRAC,
+                millis: persistent,
+                receptions,
+                ..Row::new("evolve", n, &tx_sets, ResolverKind::Aggregated.name())
+            });
             eprintln!(
-                "done: n={n} (evolve): aggregated(rebuild) {agg:.1} ms, \
-                 parallel(persistent) {par:.1} ms, speedup {:.2}x",
-                agg / par.max(1e-9)
+                "done: n={n} (evolve): aggregated-rebuild {rebuild:.1} ms, \
+                 aggregated {persistent:.1} ms, speedup {:.2}x",
+                rebuild / persistent.max(1e-9)
             );
         }
     }
@@ -225,7 +256,7 @@ fn main() {
                 r.n.to_string(),
                 format!("{:.2}", r.tx_frac),
                 r.tx_avg.to_string(),
-                r.kind.name().to_string(),
+                r.resolver.to_string(),
                 format!("{:.2}", r.millis),
                 r.receptions.to_string(),
             ]
@@ -248,8 +279,9 @@ fn main() {
     write_csv("scale_resolvers", &headers, &table);
     write_json(&rows, tier);
 
-    // CI gate: exact agreement plus bounded regression of the newer
-    // backends (rotate mode only: grid runs no evolve rounds).
+    // CI gate: exact agreement plus bounded regression of the default
+    // backend against the oracle, at the sizes where the oracle runs
+    // (few and rotate modes: the oracle runs no evolve rounds).
     if disagreements > 0 {
         eprintln!("FAIL: {disagreements} resolver disagreement(s)");
         std::process::exit(1);
@@ -257,19 +289,19 @@ fn main() {
     if tier == Scale::Ci {
         let total = |k: ResolverKind| -> f64 {
             rows.iter()
-                .filter(|r| r.kind == k && r.mode == "rotate")
+                .filter(|r| r.resolver == k.name() && r.mode != "evolve" && r.n <= NAIVE_CAP)
                 .map(|r| r.millis)
                 .sum::<f64>()
         };
-        let (grid, agg) = (total(ResolverKind::Grid), total(ResolverKind::Aggregated));
-        eprintln!("ci gate: grid {grid:.1} ms total, aggregated {agg:.1} ms total");
-        if agg > 2.0 * grid {
+        let (naive, agg) = (total(ResolverKind::Naive), total(ResolverKind::Aggregated));
+        eprintln!("ci gate: naive {naive:.1} ms total, aggregated {agg:.1} ms total");
+        if agg > 2.0 * naive {
             eprintln!(
-                "FAIL: aggregated resolver regressed >2x vs grid ({agg:.1} ms vs {grid:.1} ms)"
+                "FAIL: aggregated resolver regressed >2x vs naive ({agg:.1} ms vs {naive:.1} ms)"
             );
             std::process::exit(1);
         }
-        println!("\nci gate: OK (agreement + wall clock within 2x of grid)");
+        println!("\nci gate: OK (agreement + wall clock within 2x of naive)");
     }
 }
 
@@ -287,7 +319,7 @@ fn write_json(rows: &[Row], tier: Scale) {
             r.n,
             r.tx_frac,
             r.tx_avg,
-            r.kind.name(),
+            r.resolver,
             r.millis,
             r.receptions,
             if i + 1 == rows.len() { "" } else { "," }

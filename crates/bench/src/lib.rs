@@ -58,7 +58,7 @@ pub fn resolver_flag() -> Option<dcluster_sim::ResolverKind> {
 
 /// Resolver backend override for the harness binaries: the `--resolver`
 /// flag, else the `DCLUSTER_RESOLVER` env var; `None` means "use the
-/// network's scale-aware default". Invalid values in either place exit
+/// default backend". Invalid values in either place exit
 /// with an error naming the valid backends.
 pub fn resolver_override() -> Option<dcluster_sim::ResolverKind> {
     // Same env fallback the examples use (`Runner::resolver_for`).
@@ -163,6 +163,9 @@ mod tests {
         let net = runner.build_network().unwrap();
         let engine = runner.engine(&net).unwrap();
         assert_eq!(engine.round(), 0);
-        assert_eq!(engine.resolver_kind(), net.default_resolver());
+        assert_eq!(
+            engine.resolver_kind(),
+            dcluster_sim::ResolverKind::default()
+        );
     }
 }

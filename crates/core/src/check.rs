@@ -246,8 +246,19 @@ mod tests {
         let net = Network::builder(deploy::uniform_square(60, 2.5, &mut rng))
             .build()
             .unwrap();
+        // Odd rounds are cut to the aggregated backend's direct path.
         let rounds: Vec<Vec<usize>> = (0..8)
-            .map(|r| (0..net.len()).filter(|v| (v + r) % 3 == 0).collect())
+            .map(|r| {
+                let cap = if r % 2 == 0 {
+                    usize::MAX
+                } else {
+                    dcluster_sim::DIRECT_MAX_TX
+                };
+                (0..net.len())
+                    .filter(|v| (v + r) % 3 == 0)
+                    .take(cap)
+                    .collect()
+            })
             .collect();
         assert_eq!(
             audit_resolver_equivalence(&net, &rounds, &ResolverKind::ALL),

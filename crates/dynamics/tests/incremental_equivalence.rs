@@ -1,8 +1,9 @@
 //! Property tests for the dynamics subsystem's central contract: a world
 //! maintained **incrementally** (sparse grid/comm-graph/field updates) is
 //! observationally identical to one **rebuilt from scratch** after every
-//! update — byte-identical receptions across all three SINR resolver
-//! backends, under mobility, churn and heterogeneous power.
+//! update — byte-identical receptions across both SINR resolver backends
+//! (and both resolution paths of the aggregated one), under mobility,
+//! churn and heterogeneous power.
 //!
 //! Structural equality (same grid cells in the same member order) is what
 //! pins the floating-point summation order, so the reception equality here
@@ -10,19 +11,23 @@
 
 use dcluster_dynamics::{Churn, DynamicsModel, MobilityKind, World, WorldUpdate};
 use dcluster_sim::rng::Rng64;
-use dcluster_sim::{deploy, Network, Point, Reception, ResolverKind};
+use dcluster_sim::{deploy, Network, Point, Reception, ResolverKind, DIRECT_MAX_TX};
 use proptest::prelude::*;
 
 /// Deterministic transmitter sets over the awake nodes (ascending — the
-/// order every engine-produced set has).
+/// order every engine-produced set has). Each round's set is followed by
+/// its first [`DIRECT_MAX_TX`] members, so the aggregated backend runs
+/// both its direct and its field path.
 fn tx_sets(world: &World, rounds: usize, salt: u64) -> Vec<Vec<usize>> {
     (0..rounds)
-        .map(|r| {
-            world
+        .flat_map(|r| {
+            let tx: Vec<usize> = world
                 .awake_nodes()
                 .into_iter()
                 .filter(|&v| dcluster_sim::rng::hash_chance(salt, &[r as u64, v as u64], 0.3))
-                .collect()
+                .collect();
+            let small = tx[..tx.len().min(DIRECT_MAX_TX)].to_vec();
+            [tx, small]
         })
         .collect()
 }
@@ -77,11 +82,7 @@ proptest! {
         }
         // Cross-backend agreement still holds on the evolved world.
         let naive = resolve_all(world.network(), &tx, ResolverKind::Naive);
-        for kind in [
-            ResolverKind::Grid,
-            ResolverKind::Aggregated,
-            ResolverKind::Parallel,
-        ] {
+        for kind in ResolverKind::ALL {
             let got = resolve_all(world.network(), &tx, kind);
             for (round, (a, b)) in naive.iter().zip(&got).enumerate() {
                 let mut a = a.clone();

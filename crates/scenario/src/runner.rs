@@ -10,7 +10,7 @@
 //!    profile and ID-space settings;
 //! 2. [`Runner::resolver_for`] picks the backend with one precedence
 //!    everywhere: explicit override (CLI flag) → spec `resolver` line →
-//!    `DCLUSTER_RESOLVER` env → the network's scale-aware default;
+//!    `DCLUSTER_RESOLVER` env → the default backend (`aggregated`);
 //! 3. [`Runner::run`] executes a [`Workload`] through `Engine` /
 //!    `MaintenanceDriver` and returns the structured [`Report`].
 //!
@@ -69,7 +69,7 @@ pub fn connected_deployment(n: usize, delta: usize, seed: u64) -> Result<Network
 /// The resolver-selection precedence used everywhere, as a pure function
 /// (testable without touching process environment): explicit override
 /// (CLI `--resolver`) → the spec's `resolver` line → the
-/// `DCLUSTER_RESOLVER` environment value → the scale-aware default.
+/// `DCLUSTER_RESOLVER` environment value → `default`.
 ///
 /// # Errors
 ///
@@ -249,17 +249,20 @@ impl Runner {
     /// ambient machine state, so committed `.scn` files run
     /// environment-independently.
     ///
+    /// The choice does not depend on `_net`; the parameter keeps every
+    /// caller's engine construction in one shape.
+    ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] when the decision falls through to a
     /// `DCLUSTER_RESOLVER` value that names no backend.
-    pub fn resolver_for(&self, net: &Network) -> Result<ResolverKind, SpecError> {
+    pub fn resolver_for(&self, _net: &Network) -> Result<ResolverKind, SpecError> {
         let env = std::env::var("DCLUSTER_RESOLVER").ok();
         resolver_precedence(
             self.override_resolver,
             self.spec.resolver,
             env.as_deref(),
-            net.default_resolver(),
+            ResolverKind::default(),
         )
         .map_err(|msg| SpecError { line: 0, msg })
     }
@@ -595,27 +598,41 @@ mod tests {
         use ResolverKind::*;
         // Override beats spec beats env beats default.
         assert_eq!(
-            resolver_precedence(Some(Grid), Some(Naive), Some("parallel"), Aggregated),
-            Ok(Grid)
+            resolver_precedence(Some(Aggregated), Some(Naive), Some("naive"), Naive),
+            Ok(Aggregated)
         );
         assert_eq!(
-            resolver_precedence(None, Some(Naive), Some("parallel"), Aggregated),
+            resolver_precedence(None, Some(Naive), Some("aggregated"), Aggregated),
             Ok(Naive)
         );
         assert_eq!(
-            resolver_precedence(None, None, Some("parallel"), Aggregated),
-            Ok(Parallel)
+            resolver_precedence(None, None, Some("naive"), Aggregated),
+            Ok(Naive)
+        );
+        assert_eq!(
+            resolver_precedence(None, None, Some("grid"), Naive),
+            Ok(Aggregated),
+            "the removed grid backend's name still selects aggregated"
         );
         assert_eq!(
             resolver_precedence(None, None, None, Aggregated),
             Ok(Aggregated)
         );
         // An invalid env value errors (naming every backend) only when the
-        // decision actually falls through to it.
-        let err = resolver_precedence(None, None, Some("fft"), Aggregated).unwrap_err();
-        for name in ["naive", "grid", "aggregated", "parallel"] {
-            assert!(err.contains(name), "error must list '{name}': {err}");
+        // decision actually falls through to it; the removed parallel
+        // backend's names are invalid.
+        for bad in ["fft", "parallel", "par"] {
+            let err = resolver_precedence(None, None, Some(bad), Aggregated).unwrap_err();
+            assert!(
+                err.starts_with("DCLUSTER_RESOLVER:") && err.contains("naive|aggregated"),
+                "error must list the backends: {err}"
+            );
         }
+        assert_eq!(
+            resolver_precedence(None, Some(Naive), Some("parallel"), Aggregated),
+            Ok(Naive),
+            "a spec-pinned backend shields a stale env var"
+        );
         assert_eq!(
             resolver_precedence(None, Some(Naive), Some("fft"), Aggregated),
             Ok(Naive),
@@ -667,14 +684,14 @@ mod tests {
         assert_eq!(
             Runner::new(spec.clone()).resolver_for(&net).unwrap(),
             ResolverKind::Naive,
-            "spec line wins over the scale-aware default"
+            "spec line wins over the default"
         );
         assert_eq!(
             Runner::new(spec)
-                .with_resolver_override(Some(ResolverKind::Grid))
+                .with_resolver_override(Some(ResolverKind::Aggregated))
                 .resolver_for(&net)
                 .unwrap(),
-            ResolverKind::Grid,
+            ResolverKind::Aggregated,
             "explicit override wins over the spec"
         );
     }

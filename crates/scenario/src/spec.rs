@@ -252,8 +252,8 @@ pub struct ScenarioSpec {
     /// maintenance epochs, binaries' sweep sizing); `None` defers to
     /// `DCLUSTER_SCALE`.
     pub scale: Option<Scale>,
-    /// Pinned resolver backend; `None` defers to the CLI/env/scale-aware
-    /// default chain (see `Runner::resolver_for`).
+    /// Pinned resolver backend; `None` defers to the CLI/env/default
+    /// chain (see `Runner::resolver_for`).
     pub resolver: Option<ResolverKind>,
     /// Default workload for file-driven runs; binaries may impose their
     /// own instead.
@@ -989,13 +989,19 @@ mod tests {
         assert_eq!(e.line, 2);
         assert!(e.msg.contains("key=value"), "{e}");
 
-        // A resolver typo lists every valid backend, including the
-        // parallel one.
-        let e = ScenarioSpec::parse("deploy uniform n=10 side=2\nresolver paralel\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        for backend in ["naive", "grid", "aggregated", "parallel"] {
-            assert!(e.msg.contains(backend), "error must list '{backend}': {e}");
+        // A resolver typo, or a removed backend, lists every valid one.
+        for bad in ["paralel", "parallel", "par"] {
+            let text = format!("deploy uniform n=10 side=2\nresolver {bad}\n");
+            let e = ScenarioSpec::parse(&text).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(
+                e.msg.contains("naive|aggregated"),
+                "error must list backends: {e}"
+            );
         }
+        // The removed grid backend's name still parses, as aggregated.
+        let spec = ScenarioSpec::parse("deploy uniform n=10 side=2\nresolver grid\n").unwrap();
+        assert_eq!(spec.resolver, Some(ResolverKind::Aggregated));
 
         // Unknown dynamics and workload names are line-numbered too.
         let e = ScenarioSpec::parse("deploy uniform n=10 side=2\ndynamics teleport frac=0.5\n")

@@ -89,11 +89,14 @@ fn ci_maintenance_spec_is_resolver_invariant() {
             summary,
         )
     };
-    let grid = run(dcluster_sim::ResolverKind::Grid);
-    let agg = run(dcluster_sim::ResolverKind::Aggregated);
-    let par = run(dcluster_sim::ResolverKind::Parallel);
-    assert_eq!(grid, agg, "backends must agree epoch by epoch");
-    assert_eq!(grid, par, "parallel backend must agree epoch by epoch");
+    let naive = run(dcluster_sim::ResolverKind::Naive);
+    for kind in dcluster_sim::ResolverKind::ALL {
+        assert_eq!(
+            naive,
+            run(kind),
+            "{kind} must agree with naive epoch by epoch"
+        );
+    }
 }
 
 #[test]

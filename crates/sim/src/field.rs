@@ -40,11 +40,10 @@
 //! change the last ulp, so an instance whose SINR equals the threshold
 //! *to within summation rounding* could in principle be decided
 //! differently here (ring/cell order) than by the naive oracle
-//! (transmitter order) — the same caveat the grid resolver's
-//! `-s1 + Σ` rearrangement has always carried. Such ties have measure
-//! zero in the deployments the suites generate, and every summation order
-//! used here is itself deterministic (rings, then insertion order within
-//! a cell, then caller order in the fallback), so runs are always
+//! (transmitter order). Such ties have measure zero in the deployments
+//! the suites generate, and every summation order used here is itself
+//! deterministic (rings, then insertion order within a cell, then caller
+//! order in the fallback), so runs are always
 //! byte-identical; the fixed-seed equivalence suites and the
 //! `scale_resolvers` CI gate pin the instances on which agreement is
 //! actually enforced.
@@ -69,9 +68,8 @@ pub struct FieldStats {
 }
 
 impl FieldStats {
-    /// Accumulates another counter set into this one — the parallel
-    /// resolver merges per-shard stats this way. All fields are plain
-    /// counts, so merging is commutative and order-independent.
+    /// Accumulates another counter set into this one. All fields are
+    /// plain counts, so merging is commutative and order-independent.
     pub fn merge(&mut self, other: FieldStats) {
         self.queries += other.queries;
         self.residual_decided += other.residual_decided;
@@ -232,9 +230,8 @@ impl InterferenceField {
 
     /// The shared-reference form of [`InterferenceField::decide`]: answers
     /// the same query without mutating the field, accumulating counters
-    /// into a caller-owned [`FieldStats`] instead. This is what lets the
-    /// parallel resolver share one `&InterferenceField` across worker
-    /// threads, each with its own stat block, merged afterwards.
+    /// into a caller-owned [`FieldStats`] instead. This is what lets a
+    /// resolver query the field it borrows from its cross-round cache.
     #[allow(clippy::too_many_arguments)]
     pub fn decide_at(
         &self,
@@ -259,7 +256,7 @@ impl InterferenceField {
         let mut near_count = 0usize;
         // Ring expansion. Cap the ring radius once scanning the (2k+1)²
         // block stops paying for itself against |occupied cells|; past the
-        // cap the exact fallback is no worse than the plain grid resolver.
+        // cap the exact fallback is no worse than one exact O(|T|) sum.
         let occupied = self.grid.occupied_cells();
         let k_cap = {
             let mut k = 1i64;

@@ -12,13 +12,40 @@
 //! and it is necessarily the one with the strongest signal (the nearest,
 //! under uniform power). Reception resolution is the hot path of every
 //! experiment binary, so it sits behind the [`SinrResolver`] trait with
-//! four interchangeable backends ([`ResolverKind`]):
+//! two interchangeable backends ([`ResolverKind`]):
+//!
+//! * [`NaiveResolver`] — the oracle. Evaluates Eq. (1) literally in
+//!   `O(n·|T|)`; the other backend must match it **exactly**.
+//! * [`AggregatedResolver`] — the default. A round with at most
+//!   [`DIRECT_MAX_TX`] transmitters runs the oracle's own direct loop
+//!   (one shared function), which is the cheapest exact method for the
+//!   small transmitter sets that dominate protocol rounds. Larger rounds
+//!   use a cell-aggregated
+//!   [`InterferenceField`](crate::field::InterferenceField):
+//!   1. a decodable transmitter lies within the transmission range
+//!      (`signal(d) ≥ β·noise` is necessary), so the decode candidate comes
+//!      from a grid query of radius `range`;
+//!   2. the second-strongest transmitter alone contributes `signal(d₂)`
+//!      interference, so a receiver failing `s₁ ≥ β·(noise + s₂)` is
+//!      skipped without any summing;
+//!   3. survivors accumulate interference as exact cell-grouped partial
+//!      sums ring by ring around the receiver, with everything farther
+//!      than `k` cells covered by a single count-based residual bound.
+//!      Because the reception test is monotone in the interference, a
+//!      receiver is accepted or rejected as soon as the bound is
+//!      conclusive; the rare inconclusive case falls back to the exact
+//!      far-field sum (see [`crate::field`] for the full argument).
+//!
+//!   The field is kept across rounds in a [`FieldCache`] keyed on the
+//!   network's mutation stamp and patched with the sparse transmitter diff
+//!   instead of rebuilt; the patched field is structurally identical to a
+//!   rebuilt one (audited by [`SinrResolver::audit`]).
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
 //! ([`Network::powers`](crate::Network::powers)); signals are then
 //! `P_w / d^α` via [`Network::signal_from`](crate::Network::signal_from).
-//! The geometric backends keep their exactness: any decodable transmitter
-//! must satisfy `P_w/d^α ≥ β·noise`, i.e. lie within
+//! The field path keeps its exactness: any decodable transmitter must
+//! satisfy `P_w/d^α ≥ β·noise`, i.e. lie within
 //! [`Network::max_range`](crate::Network::max_range) of the receiver, so
 //! the candidate search stays a bounded disk query — but the decodable
 //! transmitter is the *strongest-signal* one, which under heterogeneous
@@ -26,44 +53,9 @@
 //! strongest-two scan instead of the nearest-two distance query (the
 //! uniform-power fast path is untouched).
 //!
-//! * [`NaiveResolver`] — the oracle. Evaluates Eq. (1) literally in
-//!   `O(n·|T|)`; every other backend must match it **exactly**.
-//! * [`GridResolver`] — grid short-circuit. Two exact facts cut the work:
-//!   (1) a decodable transmitter lies within the transmission range
-//!   (`signal(d) ≥ β·noise` is necessary), so candidates come from a grid
-//!   query of radius `range`; (2) the second-nearest transmitter alone
-//!   contributes `signal(d₂)` interference, so a receiver failing
-//!   `signal(d₁) ≥ β·(noise + signal(d₂))` is skipped without any summing.
-//!   Survivors still pay an exact `O(|T|)` interference sum.
-//! * [`AggregatedResolver`] — cell-aggregated interference. Builds a
-//!   per-round [`InterferenceField`](crate::field::InterferenceField):
-//!   interference is accumulated as exact cell-grouped partial sums ring by
-//!   ring around the receiver, and everything farther than `k` cells is
-//!   covered by a single count-based residual bound. Because the reception
-//!   test is monotone in the interference, a receiver is accepted or
-//!   rejected as soon as the bound is conclusive; the rare inconclusive
-//!   case falls back to the exact far-field sum. Surviving receivers
-//!   therefore pay `O(occupied cells nearby) + O(1)` instead of `O(|T|)` —
-//!   and the returned receptions are **exactly** the naive ones (the cell
-//!   sums are exact partial sums, not approximations; see
-//!   [`crate::field`] for the full argument).
-//! * [`ParallelResolver`] — the aggregated strategy, sharded and
-//!   persistent. The receiver scan is split into fixed contiguous index
-//!   chunks resolved on a scoped thread pool (`DCLUSTER_THREADS`, default
-//!   [`std::thread::available_parallelism`] capped at 8) against one shared
-//!   immutable [`InterferenceField`]; per-chunk receptions are concatenated
-//!   in chunk order, so the output is **byte-identical** to the sequential
-//!   backends for every thread count (each chunk emits its receivers in
-//!   ascending order, and counters merge commutatively). Across rounds the
-//!   field is kept in a [`FieldCache`] keyed on the network's mutation
-//!   stamp and patched with the sparse transmitter diff instead of rebuilt
-//!   — exactness is preserved because the maintained subset grid is
-//!   structurally identical to a rebuilt one (audited by
-//!   [`SinrResolver::audit`]).
-//!
-//! Equivalence of all backends is enforced by property tests on
-//! random, clumped and grid-boundary deployments
-//! (`crates/sim/tests/radio_equivalence.rs`).
+//! Equivalence of both backends, on both sides of [`DIRECT_MAX_TX`], is
+//! enforced by property tests on random, clumped and grid-boundary
+//! deployments (`crates/sim/tests/radio_equivalence.rs`).
 
 use crate::field::{FieldStats, InterferenceField};
 use crate::grid::Grid;
@@ -71,6 +63,16 @@ use crate::network::Network;
 use dcluster_obs::CacheOp;
 use std::fmt;
 use std::str::FromStr;
+
+/// Rounds with at most this many transmitters are resolved by the direct
+/// `O(n·|T|)` loop in [`AggregatedResolver`] too: below it, building or
+/// patching the interference field and querying the transmitter grid cost
+/// more than summing every signal at every listener. On uniform fields
+/// of about 10 nodes per unit², the direct loop won up to about 10
+/// transmitters at n = 10⁴ and past 24 at n ≤ 10³, so 8 is on the direct
+/// loop's side at every size measured; raising it to 16 or 32 moved the
+/// protocol workloads' end-to-end wall time by less than run-to-run noise.
+pub const DIRECT_MAX_TX: usize = 8;
 
 /// A successful reception in one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,36 +87,25 @@ pub struct Reception {
 }
 
 /// The available [`SinrResolver`] backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ResolverKind {
     /// Literal Eq. (1): `O(n·|T|)` oracle.
     Naive,
-    /// Grid candidate search + second-nearest short-circuit + exact sums.
-    Grid,
-    /// Grid short-circuit + per-round cell-aggregated interference field.
+    /// Direct sum for small rounds; otherwise grid short-circuit plus a
+    /// persistent cell-aggregated interference field. The default.
+    #[default]
     Aggregated,
-    /// The aggregated strategy with a sharded receiver scan and a
-    /// persistent, sparsely-patched interference field. Byte-identical
-    /// output for every thread count.
-    Parallel,
 }
 
 impl ResolverKind {
-    /// Every backend, in increasing order of sophistication.
-    pub const ALL: [ResolverKind; 4] = [
-        ResolverKind::Naive,
-        ResolverKind::Grid,
-        ResolverKind::Aggregated,
-        ResolverKind::Parallel,
-    ];
+    /// Every backend, oracle first.
+    pub const ALL: [ResolverKind; 2] = [ResolverKind::Naive, ResolverKind::Aggregated];
 
     /// Stable lower-case name (CLI flags, traces, CSV columns).
     pub fn name(self) -> &'static str {
         match self {
             ResolverKind::Naive => "naive",
-            ResolverKind::Grid => "grid",
             ResolverKind::Aggregated => "aggregated",
-            ResolverKind::Parallel => "parallel",
         }
     }
 
@@ -137,9 +128,7 @@ impl ResolverKind {
     pub fn build(self) -> Box<dyn SinrResolver> {
         match self {
             ResolverKind::Naive => Box::new(NaiveResolver::new()),
-            ResolverKind::Grid => Box::new(GridResolver::new()),
             ResolverKind::Aggregated => Box::new(AggregatedResolver::new()),
-            ResolverKind::Parallel => Box::new(ParallelResolver::new()),
         }
     }
 }
@@ -150,40 +139,45 @@ impl fmt::Display for ResolverKind {
     }
 }
 
+/// Parses a backend name. `grid` is accepted as `aggregated`, so specs
+/// written for the removed grid backend keep running.
 impl FromStr for ResolverKind {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "naive" => Ok(ResolverKind::Naive),
-            "grid" => Ok(ResolverKind::Grid),
-            "aggregated" | "agg" => Ok(ResolverKind::Aggregated),
-            "parallel" | "par" => Ok(ResolverKind::Parallel),
+            "aggregated" | "agg" | "grid" => Ok(ResolverKind::Aggregated),
             other => Err(format!(
-                "unknown resolver '{other}' (expected naive|grid|aggregated|parallel)"
+                "unknown resolver '{other}' (expected naive|aggregated)"
             )),
         }
     }
 }
 
-/// Cumulative per-backend work counters (all backends fill `rounds` and
-/// `candidates`; the rest apply where meaningful).
+/// Cumulative per-backend work counters.
+///
+/// A round resolved by the direct `O(n·|T|)` loop (every naive round, and
+/// aggregated rounds with at most [`DIRECT_MAX_TX`] transmitters) adds one
+/// exact sum per listener and one candidate per decoded receiver. A round
+/// resolved through the interference field adds one candidate per receiver
+/// with a transmitter in range, and each such candidate lands in exactly
+/// one of `short_circuited`, `residual_decided` and `exact_fallbacks`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Rounds resolved.
     pub rounds: u64,
-    /// Decode candidates: receivers with some transmitter within range for
-    /// the geometric backends; decoded receivers for the naive oracle
-    /// (which has no candidate search).
+    /// Decode candidates: receivers with some transmitter within range on
+    /// the field path; decoded receivers on the direct path (which has no
+    /// candidate search).
     pub candidates: u64,
-    /// Candidates killed by the second-nearest short-circuit.
+    /// Field path: candidates killed by the second-strongest short-circuit.
     pub short_circuited: u64,
-    /// Exact full-interference sums over all of `T` (naive: one per
-    /// listener; grid: one per surviving candidate; aggregated: 0).
+    /// Direct path: full-interference sums over all of `T`, one per
+    /// listener (0 on the field path).
     pub exact_sums: u64,
-    /// Aggregated only: candidates decided by cell sums + residual bound.
+    /// Field path: candidates decided by cell sums + residual bound.
     pub residual_decided: u64,
-    /// Aggregated only: candidates that needed the exact far-field
-    /// fallback.
+    /// Field path: candidates that needed the exact far-field fallback.
     pub exact_fallbacks: u64,
 }
 
@@ -227,7 +221,7 @@ pub trait SinrResolver: fmt::Debug {
 
     /// Verifies any incrementally-maintained internal state against a
     /// rebuild from scratch (backends without such state trivially pass).
-    /// The persistent backends compare their cached interference field's
+    /// The aggregated backend compares its cached interference field's
     /// subset grid with a fresh build over the same transmitter set —
     /// structural identity there is exactly what guarantees
     /// rebuild-identical decisions.
@@ -293,6 +287,9 @@ impl FieldCache {
         // reorder the fallback summation), so it leaves the cache unkeyed.
         self.last_op = Some(CacheOp::Rebuilt);
         self.stamp = if sorted { net.stamp() } else { 0 };
+        // Free the stale field first, so a rebuild never holds two fields
+        // (peak memory, and the heap left behind for later allocations).
+        self.field = None;
         self.field.insert(InterferenceField::build(
             net.points(),
             net.powers(),
@@ -396,7 +393,7 @@ fn two_strongest_within(net: &Network, grid: &Grid, u: crate::Point, r: f64) -> 
 /// transmitter is in range.
 type CandidateSignals = Option<(usize, f64, f64)>;
 
-/// Shared candidate search of the geometric backends: nearest-two distance
+/// Candidate search of the field path: nearest-two distance
 /// query under uniform power (bit-identical to the classic path),
 /// strongest-two signal scan under heterogeneous power.
 fn candidate_signals(net: &Network, tx_grid: &Grid, u: usize) -> CandidateSignals {
@@ -433,11 +430,60 @@ fn mark_transmitters(
     }
 }
 
+/// The literal Eq. (1) loop, `O(n·|T|)`, shared by [`NaiveResolver`] and
+/// the small rounds of [`AggregatedResolver`]. Each listener's signals are
+/// computed once into `signals`, summed in transmitter order, and every
+/// transmitter is tested against the total. `transmitters` must be
+/// non-empty; `out` receives the receptions in ascending receiver order.
+fn resolve_direct(
+    net: &Network,
+    transmitters: &[usize],
+    is_tx: &mut Vec<bool>,
+    signals: &mut Vec<f64>,
+    stats: &mut ResolverStats,
+    out: &mut Vec<Reception>,
+) {
+    let p = net.params();
+    is_tx.clear();
+    is_tx.resize(net.len(), false);
+    for &t in transmitters {
+        debug_assert!(!is_tx[t], "node {t} listed twice as transmitter");
+        is_tx[t] = true;
+    }
+    for (u, _) in is_tx.iter().enumerate().filter(|&(_, &tx)| !tx) {
+        stats.exact_sums += 1;
+        let pu = net.pos(u);
+        signals.clear();
+        signals.extend(
+            transmitters
+                .iter()
+                .map(|&w| net.signal_from(w, net.pos(w).dist(pu))),
+        );
+        let total: f64 = signals.iter().sum();
+        let mut decoded: Option<(usize, usize)> = None;
+        for (slot, (&v, &s)) in transmitters.iter().zip(signals.iter()).enumerate() {
+            if s >= p.beta * (p.noise + (total - s)) {
+                debug_assert!(decoded.is_none(), "beta > 1 forbids two decodable senders");
+                decoded = Some((v, slot));
+            }
+        }
+        if let Some((v, slot)) = decoded {
+            stats.candidates += 1;
+            out.push(Reception {
+                receiver: u,
+                sender: v,
+                slot,
+            });
+        }
+    }
+}
+
 /// Reference backend: evaluates Eq. (1) literally, `O(n·|T|)`, no
-/// geometric shortcuts. The oracle every other backend is tested against.
+/// geometric shortcuts. The oracle the other backend is tested against.
 #[derive(Debug, Default)]
 pub struct NaiveResolver {
     is_tx: Vec<bool>,
+    signals: Vec<f64>,
     stats: ResolverStats,
 }
 
@@ -459,36 +505,14 @@ impl SinrResolver for NaiveResolver {
         if transmitters.is_empty() {
             return;
         }
-        let p = net.params();
-        self.is_tx.clear();
-        self.is_tx.resize(net.len(), false);
-        for &t in transmitters {
-            debug_assert!(!self.is_tx[t], "node {t} listed twice as transmitter");
-            self.is_tx[t] = true;
-        }
-        for (u, _) in self.is_tx.iter().enumerate().filter(|&(_, &tx)| !tx) {
-            self.stats.exact_sums += 1;
-            let total: f64 = transmitters
-                .iter()
-                .map(|&w| net.signal_from(w, net.pos(w).dist(net.pos(u))))
-                .sum();
-            let mut decoded: Option<(usize, usize)> = None;
-            for (slot, &v) in transmitters.iter().enumerate() {
-                let s = net.signal_from(v, net.pos(v).dist(net.pos(u)));
-                if s >= p.beta * (p.noise + (total - s)) {
-                    debug_assert!(decoded.is_none(), "beta > 1 forbids two decodable senders");
-                    decoded = Some((v, slot));
-                }
-            }
-            if let Some((v, slot)) = decoded {
-                self.stats.candidates += 1;
-                out.push(Reception {
-                    receiver: u,
-                    sender: v,
-                    slot,
-                });
-            }
-        }
+        resolve_direct(
+            net,
+            transmitters,
+            &mut self.is_tx,
+            &mut self.signals,
+            &mut self.stats,
+            out,
+        );
     }
 
     fn stats(&self) -> ResolverStats {
@@ -496,98 +520,24 @@ impl SinrResolver for NaiveResolver {
     }
 }
 
-/// Grid-accelerated backend (the workspace's original fast resolver):
-/// candidate search and second-nearest short-circuit via the transmitter
-/// subset grid, then an exact `O(|T|)` sum per surviving candidate.
-#[derive(Debug, Default)]
-pub struct GridResolver {
-    is_tx: Vec<bool>,
-    slot_of: Vec<u32>,
-    stats: ResolverStats,
-}
-
-impl GridResolver {
-    /// Creates the backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SinrResolver for GridResolver {
-    fn kind(&self) -> ResolverKind {
-        ResolverKind::Grid
-    }
-
-    fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
-        out.clear();
-        self.stats.rounds += 1;
-        if transmitters.is_empty() {
-            return;
-        }
-        let n = net.len();
-        let p = net.params();
-        mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let tx_grid = Grid::build_subset(net.points(), transmitters, p.range());
-        for u in 0..n {
-            if self.is_tx[u] {
-                continue; // half-duplex: transmitters do not receive
-            }
-            let Some((v, s1, i_low)) = candidate_signals(net, &tx_grid, u) else {
-                continue;
-            };
-            self.stats.candidates += 1;
-            // Short-circuit: interference ≥ the second-strongest signal.
-            if s1 < p.beta * (p.noise + i_low) {
-                self.stats.short_circuited += 1;
-                continue;
-            }
-            // Exact check with total interference over all transmitters.
-            self.stats.exact_sums += 1;
-            let mut interference = -s1; // subtract sender's own signal below
-            for &w in transmitters {
-                interference += net.signal_from(w, net.pos(w).dist(net.pos(u)));
-            }
-            if s1 >= p.beta * (p.noise + interference) {
-                out.push(Reception {
-                    receiver: u,
-                    sender: v,
-                    slot: self.slot_of[v] as usize,
-                });
-            }
-        }
-    }
-
-    fn stats(&self) -> ResolverStats {
-        self.stats
-    }
-}
-
-/// Cell-aggregated backend: per-round [`InterferenceField`] with exact
-/// cell-grouped partial sums and a global residual bound. Scales to the
-/// 10⁵–10⁶-node deployments the grid backend's per-survivor `O(|T|)` sums
-/// cannot reach.
+/// The default backend: the direct loop for rounds with at most
+/// [`DIRECT_MAX_TX`] transmitters, and otherwise a cross-round
+/// [`InterferenceField`] with exact cell-grouped partial sums and a global
+/// residual bound (see the module docs). Scales to the 10⁵–10⁶-node
+/// deployments where per-receiver `O(|T|)` sums cannot reach.
 #[derive(Debug, Default)]
 pub struct AggregatedResolver {
     is_tx: Vec<bool>,
     slot_of: Vec<u32>,
+    signals: Vec<f64>,
     stats: ResolverStats,
-    /// `Some` once persistence is enabled: the interference field is then
-    /// kept across rounds and patched with the sparse transmitter diff.
-    cache: Option<FieldCache>,
+    cache: FieldCache,
 }
 
 impl AggregatedResolver {
-    /// Creates the backend (field rebuilt from scratch every round — the
-    /// historical behavior).
+    /// Creates the backend.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables cross-round field persistence (see [`FieldCache`]).
-    /// Receptions are unchanged; only the per-round build cost is.
-    pub fn with_persistence(mut self) -> Self {
-        self.cache = Some(FieldCache::new());
-        self
     }
 }
 
@@ -599,24 +549,25 @@ impl SinrResolver for AggregatedResolver {
     fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
         out.clear();
         self.stats.rounds += 1;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.reset_last_op();
-        }
+        self.cache.reset_last_op();
         if transmitters.is_empty() {
+            return;
+        }
+        if transmitters.len() <= DIRECT_MAX_TX {
+            resolve_direct(
+                net,
+                transmitters,
+                &mut self.is_tx,
+                &mut self.signals,
+                &mut self.stats,
+                out,
+            );
             return;
         }
         let n = net.len();
         let p = net.params();
         mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let fresh; // keeps the non-persistent field alive past the match
-        let field: &InterferenceField = match self.cache.as_mut() {
-            Some(cache) => cache.obtain(net, transmitters),
-            None => {
-                fresh =
-                    InterferenceField::build(net.points(), net.powers(), transmitters, p.range());
-                &fresh
-            }
-        };
+        let field = self.cache.obtain(net, transmitters);
         let mut fs = FieldStats::default();
         for u in 0..n {
             if self.is_tx[u] {
@@ -626,6 +577,7 @@ impl SinrResolver for AggregatedResolver {
                 continue;
             };
             self.stats.candidates += 1;
+            // Short-circuit: interference ≥ the second-strongest signal.
             if s1 < p.beta * (p.noise + i_low) {
                 self.stats.short_circuited += 1;
                 continue;
@@ -647,210 +599,11 @@ impl SinrResolver for AggregatedResolver {
     }
 
     fn audit(&self, net: &Network) -> Result<(), String> {
-        match &self.cache {
-            Some(cache) => cache.audit(net),
-            None => Ok(()),
-        }
+        self.cache.audit(net)
     }
 
     fn last_cache_op(&self) -> Option<CacheOp> {
-        self.cache.as_ref().and_then(|c| c.last_op())
-    }
-}
-
-/// How many worker threads the parallel backend uses: `DCLUSTER_THREADS`
-/// when set, else [`std::thread::available_parallelism`] capped at 8.
-///
-/// # Panics
-///
-/// Panics when `DCLUSTER_THREADS` is set to anything but a positive
-/// integer — a typo must not silently fall back to a default.
-fn threads_from_env() -> u32 {
-    // lint:allow(D4, reason = "documented override: DCLUSTER_THREADS")
-    match std::env::var("DCLUSTER_THREADS") {
-        Ok(v) => match v.trim().parse::<u32>() {
-            Ok(t) if t >= 1 => t,
-            _ => panic!("DCLUSTER_THREADS: expected a positive integer, got '{v}'"), // lint:allow(P1, reason = "documented: a bad DCLUSTER_THREADS must fail loudly, not default")
-        },
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1)
-            .min(8),
-    }
-}
-
-/// Per-chunk output slot of the parallel receiver scan. Chunks are fixed
-/// contiguous receiver ranges, so concatenating the slots in chunk order
-/// reproduces the sequential (ascending-receiver) output exactly,
-/// independent of how many threads raced over them.
-#[derive(Debug, Default)]
-struct ChunkOut {
-    recs: Vec<Reception>,
-    field_stats: FieldStats,
-    candidates: u64,
-    short_circuited: u64,
-}
-
-/// Parallel backend: the aggregated strategy with the receiver scan
-/// sharded over a scoped thread pool and the interference field kept
-/// across rounds (see the module docs and [`FieldCache`]). Deterministic
-/// and byte-identical to [`AggregatedResolver`] for every thread count —
-/// on a single-core host it degrades gracefully to the sequential scan
-/// (the 1-thread path runs inline, no spawn, no locks) and still keeps
-/// the persistence win.
-#[derive(Debug)]
-pub struct ParallelResolver {
-    is_tx: Vec<bool>,
-    slot_of: Vec<u32>,
-    stats: ResolverStats,
-    pool: scoped_threadpool::Pool,
-    cache: Option<FieldCache>,
-}
-
-impl ParallelResolver {
-    /// Creates the backend with [`threads_from_env`]'s thread count and
-    /// persistence enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `DCLUSTER_THREADS` is set to a non-integer.
-    pub fn new() -> Self {
-        Self::with_threads(threads_from_env())
-    }
-
-    /// Creates the backend with an explicit thread count (≥ 1).
-    pub fn with_threads(threads: u32) -> Self {
-        Self {
-            is_tx: Vec::new(),
-            slot_of: Vec::new(),
-            stats: ResolverStats::default(),
-            pool: scoped_threadpool::Pool::new(threads.max(1)),
-            cache: Some(FieldCache::new()),
-        }
-    }
-
-    /// Disables cross-round field persistence (the field is then rebuilt
-    /// every round, like the plain aggregated backend) — for benchmarking
-    /// the two effects separately.
-    pub fn without_persistence(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// The worker thread count.
-    pub fn threads(&self) -> u32 {
-        self.pool.thread_count()
-    }
-}
-
-impl Default for ParallelResolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SinrResolver for ParallelResolver {
-    fn kind(&self) -> ResolverKind {
-        ResolverKind::Parallel
-    }
-
-    fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
-        out.clear();
-        self.stats.rounds += 1;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.reset_last_op();
-        }
-        if transmitters.is_empty() {
-            return;
-        }
-        let n = net.len();
-        let p = net.params();
-        mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let fresh;
-        let field: &InterferenceField = match self.cache.as_mut() {
-            Some(cache) => cache.obtain(net, transmitters),
-            None => {
-                fresh =
-                    InterferenceField::build(net.points(), net.powers(), transmitters, p.range());
-                &fresh
-            }
-        };
-        // Fixed contiguous receiver chunks; a few per thread so a dense
-        // pocket cannot stall the whole round on one worker. The chunking
-        // never affects the output (see `ChunkOut`).
-        let threads = self.pool.thread_count() as usize;
-        let chunks = if threads <= 1 {
-            1
-        } else {
-            (threads * 4).min(n.max(1))
-        };
-        let chunk_len = n.div_ceil(chunks);
-        let mut outs: Vec<ChunkOut> = (0..chunks).map(|_| ChunkOut::default()).collect();
-        let is_tx = &self.is_tx;
-        let slot_of = &self.slot_of;
-        self.pool.scoped(|scope| {
-            for (c, chunk_out) in outs.iter_mut().enumerate() {
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(n);
-                scope.execute(move || {
-                    for (u, &u_is_tx) in is_tx.iter().enumerate().take(hi).skip(lo) {
-                        if u_is_tx {
-                            continue; // half-duplex
-                        }
-                        let Some((v, s1, i_low)) = candidate_signals(net, field.grid(), u) else {
-                            continue;
-                        };
-                        chunk_out.candidates += 1;
-                        if s1 < p.beta * (p.noise + i_low) {
-                            chunk_out.short_circuited += 1;
-                            continue;
-                        }
-                        let decided = field.decide_at(
-                            net.points(),
-                            net.powers(),
-                            p,
-                            net.pos(u),
-                            v,
-                            s1,
-                            &mut chunk_out.field_stats,
-                        );
-                        if decided {
-                            chunk_out.recs.push(Reception {
-                                receiver: u,
-                                sender: v,
-                                slot: slot_of[v] as usize,
-                            });
-                        }
-                    }
-                });
-            }
-        });
-        // Deterministic merge: chunk order = ascending receiver order;
-        // counters are plain sums, so the totals are chunking-invariant.
-        let mut fs = FieldStats::default();
-        for chunk_out in outs {
-            self.stats.candidates += chunk_out.candidates;
-            self.stats.short_circuited += chunk_out.short_circuited;
-            fs.merge(chunk_out.field_stats);
-            out.extend(chunk_out.recs);
-        }
-        self.stats.residual_decided += fs.residual_decided + fs.exhausted;
-        self.stats.exact_fallbacks += fs.exact_fallbacks;
-    }
-
-    fn stats(&self) -> ResolverStats {
-        self.stats
-    }
-
-    fn audit(&self, net: &Network) -> Result<(), String> {
-        match &self.cache {
-            Some(cache) => cache.audit(net),
-            None => Ok(()),
-        }
-    }
-
-    fn last_cache_op(&self) -> Option<CacheOp> {
-        self.cache.as_ref().and_then(|c| c.last_op())
+        self.cache.last_op()
     }
 }
 
@@ -1015,18 +768,17 @@ mod tests {
             let mut all: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut all);
             all.truncate(k);
-            let mut naive = resolve_naive(&net, &all);
-            naive.sort_by_key(|r| r.receiver);
-            for kind in [
-                ResolverKind::Grid,
-                ResolverKind::Aggregated,
-                ResolverKind::Parallel,
-            ] {
-                let mut got = kind.build().resolve(&net, &all);
+            // The drawn set, and its prefix small enough for the direct path.
+            for tx in [&all[..], &all[..k.min(DIRECT_MAX_TX)]] {
+                let mut naive = resolve_naive(&net, tx);
+                naive.sort_by_key(|r| r.receiver);
+                let mut got = ResolverKind::Aggregated.build().resolve(&net, tx);
                 got.sort_by_key(|r| r.receiver);
                 assert_eq!(
-                    got, naive,
-                    "trial {trial}: {kind} and naive resolvers disagree"
+                    got,
+                    naive,
+                    "trial {trial}, |T|={}: aggregated and naive resolvers disagree",
+                    tx.len()
                 );
             }
         }
@@ -1048,18 +800,16 @@ mod tests {
             let net = Network::builder(pts).powers(powers).build().unwrap();
             assert!(!net.has_uniform_power());
             let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.25)).collect();
-            let mut naive = resolve_naive(&net, &tx);
-            naive.sort_by_key(|r| r.receiver);
-            for kind in [
-                ResolverKind::Grid,
-                ResolverKind::Aggregated,
-                ResolverKind::Parallel,
-            ] {
-                let mut got = kind.build().resolve(&net, &tx);
+            for tx in [&tx[..], &tx[..tx.len().min(DIRECT_MAX_TX)]] {
+                let mut naive = resolve_naive(&net, tx);
+                naive.sort_by_key(|r| r.receiver);
+                let mut got = ResolverKind::Aggregated.build().resolve(&net, tx);
                 got.sort_by_key(|r| r.receiver);
                 assert_eq!(
-                    got, naive,
-                    "trial {trial}: {kind} disagrees with naive under heterogeneous power"
+                    got,
+                    naive,
+                    "trial {trial}, |T|={}: aggregated disagrees with naive under heterogeneous power",
+                    tx.len()
                 );
             }
         }
@@ -1131,21 +881,29 @@ mod tests {
             .collect();
         let net = net_of(pts);
         let tx: Vec<usize> = (0..80).filter(|_| rng.chance(0.25)).collect();
+        assert!(
+            tx.len() > DIRECT_MAX_TX,
+            "this instance takes the field path"
+        );
         let mut agg = AggregatedResolver::new();
         let _ = agg.resolve(&net, &tx);
         let st = agg.stats();
         assert_eq!(st.rounds, 1);
-        assert_eq!(st.exact_sums, 0, "aggregated never does full naive sums");
+        assert_eq!(st.exact_sums, 0, "the field path never does full sums");
         assert_eq!(
             st.candidates,
             st.short_circuited + st.residual_decided + st.exact_fallbacks,
             "every candidate is accounted for exactly once"
         );
-        let mut grid = GridResolver::new();
-        let _ = grid.resolve(&net, &tx);
-        let gst = grid.stats();
-        assert_eq!(gst.candidates, st.candidates, "same candidate set");
-        assert_eq!(gst.exact_sums + gst.short_circuited, gst.candidates);
+        let mut naive = NaiveResolver::new();
+        let got = naive.resolve(&net, &tx);
+        let nst = naive.stats();
+        assert_eq!(
+            nst.exact_sums,
+            (80 - tx.len()) as u64,
+            "one sum per listener"
+        );
+        assert_eq!(nst.candidates, got.len() as u64, "one per decoded receiver");
     }
 
     #[test]
@@ -1155,54 +913,78 @@ mod tests {
             assert_eq!(format!("{kind}"), kind.name());
             assert_eq!(kind.build().kind(), kind);
         }
-        assert_eq!(
-            "AGG".parse::<ResolverKind>().unwrap(),
-            ResolverKind::Aggregated
-        );
-        assert_eq!(
-            "par".parse::<ResolverKind>().unwrap(),
-            ResolverKind::Parallel
-        );
-        let err = "fft".parse::<ResolverKind>().unwrap_err();
-        for name in ["naive", "grid", "aggregated", "parallel"] {
-            assert!(err.contains(name), "parse error must list '{name}': {err}");
+        for alias in ["AGG", "grid", "Grid"] {
+            assert_eq!(
+                alias.parse::<ResolverKind>().unwrap(),
+                ResolverKind::Aggregated,
+                "{alias}"
+            );
+        }
+        assert_eq!(ResolverKind::default(), ResolverKind::Aggregated);
+        for gone in ["fft", "parallel", "par"] {
+            let err = gone.parse::<ResolverKind>().unwrap_err();
+            assert!(
+                err.contains("naive|aggregated)"),
+                "parse error must list the backends: {err}"
+            );
         }
     }
 
     #[test]
-    fn parallel_is_byte_identical_across_thread_counts() {
+    fn aggregated_matches_naive_on_both_sides_of_the_direct_threshold() {
         let mut rng = Rng64::new(808);
         let pts: Vec<Point> = (0..300)
             .map(|_| Point::new(rng.range_f64(0.0, 5.0), rng.range_f64(0.0, 5.0)))
             .collect();
         let net = net_of(pts);
-        let tx: Vec<usize> = (0..300).filter(|_| rng.chance(0.3)).collect();
-        let mut reference = AggregatedResolver::new();
-        let want = reference.resolve(&net, &tx);
-        for threads in [1, 2, 8] {
-            let mut par = ParallelResolver::with_threads(threads);
-            assert_eq!(par.threads(), threads.max(1));
-            assert_eq!(
-                par.resolve(&net, &tx),
-                want,
-                "parallel({threads} threads) diverged from aggregated"
-            );
-            par.audit(&net).expect("fresh field audits clean");
+        let mut order: Vec<usize> = (0..300).collect();
+        rng.shuffle(&mut order);
+        let mut agg = AggregatedResolver::new();
+        let mut before = agg.stats();
+        for k in [DIRECT_MAX_TX, DIRECT_MAX_TX + 1, 90] {
+            let mut tx = order[..k].to_vec();
+            tx.sort_unstable();
+            let mut naive = NaiveResolver::new();
+            let want = naive.resolve(&net, &tx);
+            assert_eq!(agg.resolve(&net, &tx), want, "|T|={k}");
+            agg.audit(&net).expect("cached field audits clean");
+            let st = agg.stats();
+            let delta = |f: fn(&ResolverStats) -> u64| f(&st) - f(&before);
+            if k <= DIRECT_MAX_TX {
+                // The direct path: exactly the oracle's work, no field.
+                let direct = naive.stats();
+                assert_eq!(delta(|s| s.exact_sums), direct.exact_sums, "|T|={k}");
+                assert_eq!(delta(|s| s.candidates), direct.candidates, "|T|={k}");
+                assert_eq!(
+                    delta(|s| s.short_circuited + s.residual_decided + s.exact_fallbacks),
+                    0,
+                    "|T|={k}: the direct path must not touch the field"
+                );
+                assert_eq!(agg.last_cache_op(), None, "|T|={k}");
+            } else {
+                assert_eq!(delta(|s| s.exact_sums), 0, "|T|={k}: no direct sums");
+                assert!(
+                    delta(|s| s.short_circuited + s.residual_decided) > 0,
+                    "|T|={k}: the field path must decide candidates"
+                );
+                assert!(agg.last_cache_op().is_some(), "|T|={k}: field consulted");
+            }
+            before = st;
         }
     }
 
     #[test]
-    fn persistent_parallel_tracks_an_evolving_transmitter_set() {
+    fn persistent_aggregated_tracks_an_evolving_transmitter_set() {
         // Round after round with sparse churn: the patched field must keep
-        // producing exactly the receptions of a from-scratch backend, and
-        // the audit must confirm its grid equals a rebuild.
+        // producing exactly the oracle's receptions, and the audit must
+        // confirm its grid equals a rebuild. Every fifth round is small
+        // enough for the direct path, which must leave the cache intact.
         let mut rng = Rng64::new(4242);
         let pts: Vec<Point> = (0..250)
             .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
             .collect();
         let net = net_of(pts);
         let mut tx: Vec<usize> = (0..250).filter(|_| rng.chance(0.4)).collect();
-        let mut par = ParallelResolver::with_threads(2);
         let mut agg = AggregatedResolver::new();
         for round in 0..25 {
             // ~4 joins and ~4 leaves per round, keeping the set sorted.
@@ -1215,12 +997,17 @@ mod tests {
                     tx.insert(pos, joiner);
                 }
             }
+            let this_round = if round % 5 == 4 {
+                &tx[..DIRECT_MAX_TX]
+            } else {
+                &tx[..]
+            };
             assert_eq!(
-                par.resolve(&net, &tx),
-                agg.resolve(&net, &tx),
-                "round {round}: persistent parallel diverged"
+                agg.resolve(&net, this_round),
+                resolve_naive(&net, this_round),
+                "round {round}: persistent aggregated diverged"
             );
-            par.audit(&net)
+            agg.audit(&net)
                 .unwrap_or_else(|e| panic!("round {round}: audit failed: {e}"));
         }
     }
@@ -1235,32 +1022,34 @@ mod tests {
             .collect();
         let mut net = net_of(pts);
         let tx: Vec<usize> = (0..150).filter(|_| rng.chance(0.35)).collect();
-        let mut par = ParallelResolver::with_threads(2);
-        let _ = par.resolve(&net, &tx); // seed the cache
+        let mut agg = AggregatedResolver::new();
+        let _ = agg.resolve(&net, &tx); // seed the cache
         net.move_node(3, Point::new(1.5, 1.5));
         net.set_power(7, 2.0 * net.params().power);
         assert_eq!(
-            par.resolve(&net, &tx),
-            AggregatedResolver::new().resolve(&net, &tx),
+            agg.resolve(&net, &tx),
+            resolve_naive(&net, &tx),
             "stale cache leaked across a network mutation"
         );
-        par.audit(&net).expect("rebuilt field audits clean");
+        assert_eq!(agg.last_cache_op(), Some(CacheOp::Rebuilt));
+        agg.audit(&net).expect("rebuilt field audits clean");
     }
 
     #[test]
     fn persistent_aggregated_matches_the_default_aggregated() {
+        // A long-lived resolver (patching its cached field) against a fresh
+        // one per round (always rebuilding).
         let mut rng = Rng64::new(5150);
         let pts: Vec<Point> = (0..200)
             .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
             .collect();
         let net = net_of(pts);
-        let mut persistent = AggregatedResolver::new().with_persistence();
-        let mut plain = AggregatedResolver::new();
+        let mut persistent = AggregatedResolver::new();
         for round in 0..10 {
             let tx: Vec<usize> = (0..200).filter(|_| rng.chance(0.3)).collect();
             assert_eq!(
                 persistent.resolve(&net, &tx),
-                plain.resolve(&net, &tx),
+                AggregatedResolver::new().resolve(&net, &tx),
                 "round {round}: persistence changed receptions"
             );
             persistent.audit(&net).expect("audit");
@@ -1277,17 +1066,17 @@ mod tests {
             .map(|_| Point::new(rng.range_f64(0.0, 3.5), rng.range_f64(0.0, 3.5)))
             .collect();
         let net = net_of(pts);
-        let mut par = ParallelResolver::with_threads(2);
         let mut agg = AggregatedResolver::new();
         for round in 0..8 {
             let mut tx: Vec<usize> = (0..180).collect();
             rng.shuffle(&mut tx);
             tx.truncate(60 + round);
             assert_eq!(
-                par.resolve(&net, &tx),
                 agg.resolve(&net, &tx),
+                resolve_naive(&net, &tx),
                 "round {round}: unsorted transmitter slice mishandled"
             );
+            assert_eq!(agg.last_cache_op(), Some(CacheOp::Rebuilt), "round {round}");
         }
     }
 

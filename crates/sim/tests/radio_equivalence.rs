@@ -1,13 +1,14 @@
 //! Every SINR resolver backend must return **exactly** the same receptions
 //! as the naive oracle — the equivalence promised in `radio.rs`'s module
-//! docs (for the aggregated backend: the cell sums are exact partial sums
-//! and the residual bound is only used when conclusive, so the decisions
-//! coincide with the full Eq. (1) sum). Property-tested three ways over
-//! random, clumped and grid-boundary deployments, transmitter sets and
-//! SINR parameter regimes.
+//! docs (for the aggregated backend: small rounds run the oracle's own
+//! loop; on larger ones the cell sums are exact partial sums and the
+//! residual bound is only used when conclusive, so the decisions coincide
+//! with the full Eq. (1) sum). Property-tested over random, clumped and
+//! grid-boundary deployments, transmitter sets on both sides of
+//! `DIRECT_MAX_TX`, and SINR parameter regimes.
 
 use dcluster_sim::rng::Rng64;
-use dcluster_sim::{Network, Point, Reception, ResolverKind, SinrParams};
+use dcluster_sim::{Network, Point, Reception, ResolverKind, SinrParams, DIRECT_MAX_TX};
 use proptest::prelude::*;
 
 /// Canonical ordering so resolver outputs compare as sets.
@@ -26,25 +27,25 @@ fn random_network(n: usize, side: f64, params: SinrParams, rng: &mut Rng64) -> N
         .expect("nonempty deployment")
 }
 
-/// Checks every backend agrees with the oracle on one instance (error
-/// message on disagreement, for `?`-chaining inside proptest cases).
-fn assert_three_way(net: &Network, tx: &[usize], label: &str) -> Result<(), String> {
-    let naive = sorted(ResolverKind::Naive.build().resolve(net, tx));
-    for kind in [
-        ResolverKind::Grid,
-        ResolverKind::Aggregated,
-        ResolverKind::Parallel,
-    ] {
-        let got = sorted(kind.build().resolve(net, tx));
-        if got != naive {
-            return Err(format!(
-                "{label}: {kind} and naive resolvers disagree (n={}, |T|={}): \
-                 {kind} found {:?}, naive found {:?}",
-                net.len(),
-                tx.len(),
-                got,
-                naive
-            ));
+/// Checks every backend agrees with the oracle on one instance, and on
+/// the instance cut to its first [`DIRECT_MAX_TX`] transmitters, so both
+/// resolution paths of the aggregated backend are compared (error message
+/// on disagreement, for `?`-chaining inside proptest cases).
+fn assert_agrees_with_naive(net: &Network, tx: &[usize], label: &str) -> Result<(), String> {
+    for tx in [tx, &tx[..tx.len().min(DIRECT_MAX_TX)]] {
+        let naive = sorted(ResolverKind::Naive.build().resolve(net, tx));
+        for kind in ResolverKind::ALL {
+            let got = sorted(kind.build().resolve(net, tx));
+            if got != naive {
+                return Err(format!(
+                    "{label}: {kind} and naive resolvers disagree (n={}, |T|={}): \
+                     {kind} found {:?}, naive found {:?}",
+                    net.len(),
+                    tx.len(),
+                    got,
+                    naive
+                ));
+            }
         }
     }
     Ok(())
@@ -74,7 +75,7 @@ proptest! {
         let net = random_network(n, side_tenths as f64 / 10.0, params, &mut rng);
         let tx: Vec<usize> =
             (0..n).filter(|_| rng.chance(tx_permille as f64 / 1000.0)).collect();
-        assert_three_way(&net, &tx, "uniform")?;
+        assert_agrees_with_naive(&net, &tx, "uniform")?;
     }
 
     /// Equivalence when every node transmits (nobody listens) and when a
@@ -85,10 +86,10 @@ proptest! {
         let net = random_network(n, 3.0, SinrParams::default(), &mut rng);
 
         let everyone: Vec<usize> = (0..n).collect();
-        assert_three_way(&net, &everyone, "everyone-transmits")?;
+        assert_agrees_with_naive(&net, &everyone, "everyone-transmits")?;
 
         let lone = vec![rng.range_usize(n)];
-        assert_three_way(&net, &lone, "lone-transmitter")?;
+        assert_agrees_with_naive(&net, &lone, "lone-transmitter")?;
     }
 
     /// Clumped (near-duplicate) positions stress the grid bucketing, the
@@ -111,7 +112,7 @@ proptest! {
         }
         let net = Network::builder(pts).build().expect("nonempty");
         let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.4)).collect();
-        assert_three_way(&net, &tx, "clumped")?;
+        assert_agrees_with_naive(&net, &tx, "clumped")?;
     }
 
     /// Nodes sitting *exactly* on grid-cell boundaries (integer and
@@ -143,6 +144,6 @@ proptest! {
         let net = Network::builder(pts).build().expect("nonempty");
         let tx: Vec<usize> =
             (0..rows * cols).filter(|_| rng.chance(tx_permille as f64 / 1000.0)).collect();
-        assert_three_way(&net, &tx, "grid-boundary")?;
+        assert_agrees_with_naive(&net, &tx, "grid-boundary")?;
     }
 }

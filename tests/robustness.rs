@@ -38,7 +38,7 @@ fn colocated_nodes_do_not_break_the_radio() {
     ])
     .build()
     .unwrap();
-    let recs = dcluster::sim::ResolverKind::Grid
+    let recs = dcluster::sim::ResolverKind::Aggregated
         .build()
         .resolve(&net, &[0, 1]);
     // Colocated simultaneous transmitters annihilate each other.
