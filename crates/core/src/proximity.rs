@@ -140,7 +140,7 @@ pub fn build_proximity_graph(
         let mut keep: Vec<usize> = Vec::new();
         'cand: for &w in &uv {
             for &(r, u) in &heard[v] {
-                if u != w && unit.sched.contains(r, net.id(w), cluster_view[w]) {
+                if u != w && unit.sched().contains(r, net.id(w), cluster_view[w]) {
                     continue 'cand; // w transmitted while v heard u ⇒ not close
                 }
             }

@@ -10,6 +10,20 @@
 //! fresh payloads while preserving the interference pattern: each member's
 //! transmit pattern is determined by its ID and its cluster *at snapshot
 //! time* (a value the node remembers locally).
+//!
+//! The simulator skips the recomputation. Each unit carries a private
+//! key, drawn from a process-global counter at [`ReplayUnit::snapshot`]
+//! and shared by clones; [`ReplayUnit::run`] goes through
+//! [`Engine::run_keyed`] under it. The schedule and members are private
+//! (read through [`ReplayUnit::sched`] and [`ReplayUnit::members`]), so a
+//! key always names one transmit pattern — the engine's key contract. The
+//! engine keeps the tape of its most recent keyed run in one slot, so a
+//! unit run again right after itself (Algorithm 1's κ confirmations) is
+//! replayed from the tape without polling or resolving; any other unit
+//! re-records the slot. No network-stamp check is needed: an engine
+//! borrows its network immutably for its whole life. Replayed rounds are
+//! counted in [`EngineStats::replayed_rounds`](dcluster_sim::EngineStats)
+//! and carry `cache: None` in the trace.
 
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
@@ -20,6 +34,7 @@ use dcluster_selectors::{ClusterSchedule, Schedule};
 use dcluster_sim::engine::{Engine, RoundBehavior};
 use dcluster_sim::network::Network;
 use dcluster_sim::rng::hash64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deterministic seed sequence: invocation `i` of any selector across the
 /// whole protocol stack draws seed `hash(master, i)`. The invocation order
@@ -98,24 +113,42 @@ pub struct Member {
     pub cluster: u64,
 }
 
-/// A replayable (schedule, participants) pair. See module docs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Source of replay keys: every snapshot draws a fresh one.
+static UNIT_KEYS: AtomicU64 = AtomicU64::new(1);
+
+/// A replayable (schedule, participants) pair. See module docs. Equality
+/// compares the schedule and members, not the replay key.
+#[derive(Debug, Clone)]
 pub struct ReplayUnit {
-    /// The schedule.
-    pub sched: SchedHandle,
-    /// Participant snapshot.
-    pub members: Vec<Member>,
+    sched: SchedHandle,
+    members: Vec<Member>,
+    /// Replay key (module docs); clones share it.
+    key: u64,
 }
 
+impl PartialEq for ReplayUnit {
+    fn eq(&self, other: &Self) -> bool {
+        self.sched == other.sched && self.members == other.members
+    }
+}
+
+impl Eq for ReplayUnit {}
+
 /// Provenance record of one (re-)execution of a [`ReplayUnit`]: which
-/// resolver backend produced the trace, and its extent. Replays are only
-/// guaranteed identical when the reception sets are — which holds across
-/// backends by the resolver equivalence contract, but recording the
-/// backend makes any violation attributable when auditing a trace.
+/// resolver backend produced the trace, whether it was replayed, and its
+/// extent. Replays are only guaranteed identical when the reception sets
+/// are — which holds across backends by the resolver equivalence
+/// contract, but recording the backend makes any violation attributable
+/// when auditing a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitTrace {
-    /// The backend that resolved every round of this execution.
+    /// The engine's backend. It resolved every round of this execution
+    /// unless `replayed`; then it resolved the taped earlier execution
+    /// these rounds were replayed from.
     pub resolver: dcluster_sim::ResolverKind,
+    /// Whether the engine served this execution from its replay memo
+    /// (no resolver call) instead of resolving it.
+    pub replayed: bool,
     /// Global engine round at which the execution started.
     pub start_round: u64,
     /// Rounds executed (= the schedule length).
@@ -165,13 +198,29 @@ impl ReplayUnit {
                 cluster: cluster_of[v],
             })
             .collect();
-        Self { sched, members }
+        Self {
+            sched,
+            members,
+            key: UNIT_KEYS.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// The schedule.
+    pub fn sched(&self) -> &SchedHandle {
+        &self.sched
+    }
+
+    /// The participant snapshot.
+    pub fn members(&self) -> &[Member] {
+        &self.members
     }
 
     /// Executes (or re-executes) the unit: every member transmits its
     /// pattern with the message given by `payload`; every reception is
-    /// reported to `on_rx`. Costs `sched.len()` rounds. Returns the
-    /// [`UnitTrace`] recording which resolver backend produced the trace.
+    /// reported to `on_rx`. Costs `sched.len()` rounds, which the engine
+    /// replays from its memo when this unit was its last keyed run.
+    /// Returns the [`UnitTrace`] recording which resolver backend produced
+    /// the trace and whether it was replayed.
     pub fn run<P>(&self, engine: &mut Engine<'_>, payload: P, on_rx: OnRx<'_>) -> UnitTrace
     where
         P: Fn(usize) -> Msg,
@@ -182,7 +231,7 @@ impl ReplayUnit {
             member_of[m.node] = Some((m.id, m.cluster));
         }
         let start_round = engine.round();
-        let receptions_before = engine.stats().receptions;
+        let before = engine.stats();
         let mut b = UnitBehavior {
             sched: &self.sched,
             member_of: &member_of,
@@ -190,12 +239,14 @@ impl ReplayUnit {
             payload,
             on_rx,
         };
-        engine.run(&mut b, self.sched.len());
+        engine.run_keyed(self.key, &mut b, self.sched.len());
+        let after = engine.stats();
         UnitTrace {
             resolver: engine.resolver_kind(),
+            replayed: after.replayed_rounds > before.replayed_rounds,
             start_round,
             rounds: self.sched.len(),
-            receptions: engine.stats().receptions - receptions_before,
+            receptions: after.receptions - before.receptions,
         }
     }
 
@@ -263,7 +314,7 @@ mod tests {
         let unit = ReplayUnit::snapshot(&net, SchedHandle::Wss(wss), &nodes, &vec![0; net.len()]);
         let mut engine = Engine::new(&net);
         let mut first: Vec<(usize, u64, usize)> = Vec::new();
-        unit.run(
+        let first_trace = unit.run(
             &mut engine,
             |v| Msg::Hello {
                 id: net.id(v),
@@ -271,8 +322,10 @@ mod tests {
             },
             &mut |r, lr, s, _| first.push((r, lr, s)),
         );
+        let resolved = engine.resolver_stats().rounds;
         let mut second: Vec<(usize, u64, usize)> = Vec::new();
-        unit.run(
+        // A clone shares the unit's replay key.
+        let second_trace = unit.clone().run(
             &mut engine,
             |v| Msg::ClusterOf {
                 id: net.id(v),
@@ -288,6 +341,13 @@ mod tests {
             !first.is_empty(),
             "some receptions should occur in a 30-node cloud"
         );
+        assert!(!first_trace.replayed && second_trace.replayed);
+        assert_eq!(
+            engine.resolver_stats().rounds,
+            resolved,
+            "the second run is replayed without resolver rounds"
+        );
+        assert_eq!(engine.stats().replayed_rounds, unit.sched.len());
     }
 
     #[test]
@@ -335,6 +395,7 @@ mod tests {
                 &mut |_, _, _, _| count += 1,
             );
             assert_eq!(trace.resolver, kind);
+            assert!(!trace.replayed, "a fresh engine resolves the first run");
             assert_eq!(trace.start_round, 0);
             assert_eq!(trace.rounds, unit.sched.len());
             assert_eq!(trace.receptions, count, "trace counts what on_rx saw");

@@ -104,6 +104,10 @@ pub struct Report {
     pub receptions: u64,
     /// Resolver work counters (maintenance: accumulated over epochs).
     pub resolver_stats: ResolverStats,
+    /// Rounds the engines replayed from their replay memo instead of
+    /// resolving (maintenance: summed over epochs), so
+    /// `rounds = resolver_stats.rounds + replayed_rounds`.
+    pub replayed_rounds: u64,
     /// Per-phase cost summary (always populated — the engine aggregates
     /// phase spans whether or not a tracer is attached, so traced and
     /// untraced runs render byte-identical reports).
@@ -121,6 +125,7 @@ impl Report {
         self.transmissions = s.transmissions;
         self.receptions = s.receptions;
         self.resolver_stats = engine.resolver_stats();
+        self.replayed_rounds = s.replayed_rounds;
         self.phases = engine.phase_table().summaries().to_vec();
     }
 
@@ -274,6 +279,7 @@ impl Report {
             "resolver work",
             &[
                 "rounds",
+                "replayed rounds",
                 "candidates",
                 "short-circuited",
                 "exact sums",
@@ -282,6 +288,7 @@ impl Report {
             ],
             &[vec![
                 rs.rounds.to_string(),
+                self.replayed_rounds.to_string(),
                 rs.candidates.to_string(),
                 rs.short_circuited.to_string(),
                 rs.exact_sums.to_string(),
@@ -312,6 +319,7 @@ impl Report {
             "rx",
             "ok",
             "rs_rounds",
+            "replayed_rounds",
             "rs_candidates",
             "rs_short_circuited",
             "rs_exact_sums",
@@ -331,6 +339,7 @@ impl Report {
             self.receptions.to_string(),
             self.ok().to_string(),
             rs.rounds.to_string(),
+            self.replayed_rounds.to_string(),
             rs.candidates.to_string(),
             rs.short_circuited.to_string(),
             rs.exact_sums.to_string(),
@@ -416,6 +425,7 @@ mod tests {
             transmissions: 4,
             receptions: 3,
             resolver_stats: Default::default(),
+            replayed_rounds: 0,
             phases: Vec::new(),
             outcome: WorkloadOutcome::Empty,
         }

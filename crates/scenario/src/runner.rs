@@ -402,6 +402,7 @@ impl Runner {
             transmissions: 0,
             receptions: 0,
             resolver_stats: Default::default(),
+            replayed_rounds: 0,
             phases: Vec::new(),
             outcome: WorkloadOutcome::Empty,
         };
@@ -482,6 +483,7 @@ impl Runner {
                 header.transmissions = es.transmissions;
                 header.receptions = es.receptions;
                 header.resolver_stats = driver.resolver_stats();
+                header.replayed_rounds = es.replayed_rounds;
                 header.phases = driver.phase_table().summaries().to_vec();
                 header.outcome = WorkloadOutcome::Maintenance {
                     epochs: reports,

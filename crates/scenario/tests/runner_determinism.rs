@@ -52,6 +52,14 @@ fn golden_ci_specs_produce_byte_identical_reports() {
             "{name}: renderings differ across reruns"
         );
         assert!(first.ok(), "{name}: workload must complete");
+        // Every round was either resolved or replayed from a memo tape,
+        // and the protocols' κ confirmations do get replayed.
+        assert_eq!(
+            first.rounds,
+            first.resolver_stats.rounds + first.replayed_rounds,
+            "{name}: rounds = resolved + replayed"
+        );
+        assert!(first.replayed_rounds > 0, "{name}: nothing was replayed");
     }
 }
 

@@ -11,10 +11,43 @@
 //! `receive` is the only channel through which information crosses nodes.
 //! Behaviors in this workspace keep per-node state in indexed vectors and
 //! touch only the entry of the node passed in.
+//!
+//! **Replay memo.** The paper's protocols re-execute one schedule with one
+//! participant set many times (Lemma 11's tree communication, Algorithm
+//! 1's κ confirmations), and on an unchanged network such a replay
+//! reproduces the exact same receptions. [`Engine::run_keyed`] exploits
+//! this. The caller passes a key with the **key contract**: two keyed
+//! runs with the same key and the same round count have, round for round
+//! counting from each run's first round, the same set of nodes whose
+//! `transmit` returns `Some`. The engine keeps **one slot**: the tape of
+//! the most recent keyed run. A run whose key and length match the slot
+//! replays from the tape — it calls `transmit` only for the taped
+//! transmitters (for fresh messages), delivers the taped receptions, and
+//! calls `end_round` — and never polls all `n` nodes or calls the
+//! resolver. Any other keyed run re-records the slot, reusing the
+//! buffer's capacity. No network-stamp check is needed: the engine
+//! borrows its [`Network`] immutably for its whole life, so the network
+//! a tape was recorded on is the network it is replayed on.
+//!
+//! The **tape** is one `Vec<u8>` of LEB128 varints. Each round with at
+//! least one transmitter is one record: the number of silent rounds since
+//! the previous record (or the run's start), the transmitter count `k`,
+//! the `k` ascending transmitter indices delta-coded (first absolute,
+//! then differences), the reception count `m`, and `m` (receiver, slot)
+//! pairs with the ascending receivers delta-coded the same way. Trailing
+//! silent rounds are implied by the run length.
+//!
+//! A replayed round updates [`EngineStats`] (including
+//! [`EngineStats::replayed_rounds`]), the last-round stats, the phase
+//! spans and emits one tracer `Round` event, exactly as [`Engine::step`]
+//! does, except that the event carries `cache: None` (no resolver ran).
+//! In builds with debug assertions, the first replay of each tape instead
+//! polls every node and re-resolves every round with a fresh naive
+//! oracle, and asserts that both match the tape.
 
 use crate::network::Network;
 use crate::radio::{Reception, ResolverKind, ResolverStats, SinrResolver};
-use dcluster_obs::{Event, PhaseTable, SharedTracer};
+use dcluster_obs::{CacheOp, Event, PhaseTable, SharedTracer};
 
 /// A synchronous per-node protocol executed by the [`Engine`].
 ///
@@ -41,6 +74,10 @@ pub struct EngineStats {
     pub transmissions: u64,
     /// Total successful receptions.
     pub receptions: u64,
+    /// Rounds served from the replay memo ([`Engine::run_keyed`]) without
+    /// calling the resolver; every other round was resolved, so
+    /// `rounds = resolver rounds + replayed_rounds`.
+    pub replayed_rounds: u64,
 }
 
 /// Statistics of the most recently executed round.
@@ -81,6 +118,21 @@ pub struct Engine<'n> {
     /// Open [`Engine::begin_phase`] frames:
     /// `(phase, start_round, start_tx, start_rx)`.
     phase_stack: Vec<(&'static str, u64, u64, u64)>,
+    /// The one-slot replay memo (see the module docs).
+    memo: ReplayMemo,
+}
+
+/// The tape of the most recent keyed run.
+#[derive(Debug, Default)]
+struct ReplayMemo {
+    /// Key of the taped run; `None` while the slot holds no whole tape.
+    key: Option<u64>,
+    /// Rounds of the taped run.
+    rounds: u64,
+    /// The encoded eventful rounds (format in the module docs).
+    tape: Vec<u8>,
+    /// Whether a replay of this tape has been audited.
+    audited: bool,
 }
 
 impl<'n> Engine<'n> {
@@ -124,6 +176,7 @@ impl<'n> Engine<'n> {
             tracer: None,
             phases: PhaseTable::new(),
             phase_stack: Vec::new(),
+            memo: ReplayMemo::default(),
         }
     }
 
@@ -257,24 +310,169 @@ impl<'n> Engine<'n> {
             behavior.receive(self.net, r.receiver, round, r.sender, &msgs[r.slot]);
         }
         behavior.end_round(self.net, round);
+        let cache = self.resolver.last_cache_op();
+        self.finish_round(self.tx_nodes.len(), receptions.len(), cache);
+        receptions
+    }
+
+    /// Books a finished round: stats, last-round stats, the trace event,
+    /// and the round counter.
+    fn finish_round(&mut self, tx: usize, rx: usize, cache: Option<CacheOp>) {
+        let round = self.round;
+        let (tx, rx) = (tx as u64, rx as u64);
         self.stats.rounds += 1;
-        self.stats.transmissions += self.tx_nodes.len() as u64;
-        self.stats.receptions += receptions.len() as u64;
+        self.stats.transmissions += tx;
+        self.stats.receptions += rx;
         self.last_round = RoundStats {
             round,
-            transmissions: self.tx_nodes.len() as u64,
-            receptions: receptions.len() as u64,
+            transmissions: tx,
+            receptions: rx,
         };
         if let Some(t) = &self.tracer {
             t.borrow_mut().on_event(&Event::Round {
                 round,
-                tx: self.tx_nodes.len() as u64,
-                rx: receptions.len() as u64,
-                cache: self.resolver.last_cache_op(),
+                tx,
+                rx,
+                cache,
             });
         }
         self.round += 1;
-        receptions
+    }
+
+    /// Runs `rounds` rounds of `behavior` under the replay `key`: replays
+    /// them from the memo when the previous keyed run had the same key and
+    /// length, else runs them with [`Engine::step`] and tapes them. The
+    /// caller must keep the key contract (module docs); the outcome —
+    /// receptions, stats, phase table and trace rounds — is then that of
+    /// `rounds` plain steps, except that replayed rounds skip the resolver.
+    ///
+    /// Should a taped transmitter's `transmit` return `None` (a broken
+    /// contract), the memo is dropped and the run finishes with plain
+    /// steps from that round on, which poll that round's nodes again.
+    pub fn run_keyed<M, B>(&mut self, key: u64, behavior: &mut B, rounds: u64)
+    where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        if self.memo.key == Some(key) && self.memo.rounds == rounds {
+            self.replay(behavior, rounds);
+        } else {
+            self.record(key, behavior, rounds);
+        }
+    }
+
+    /// Runs `rounds` plain steps and tapes them into the memo slot.
+    fn record<M, B>(&mut self, key: u64, behavior: &mut B, rounds: u64)
+    where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        let mut tape = std::mem::take(&mut self.memo.tape);
+        tape.clear();
+        let mut gap = 0;
+        for _ in 0..rounds {
+            let receptions = self.step(behavior);
+            if self.tx_nodes.is_empty() {
+                gap += 1;
+            } else {
+                encode_round(&mut tape, gap, &self.tx_nodes, &receptions);
+                gap = 0;
+            }
+        }
+        self.memo = ReplayMemo {
+            key: Some(key),
+            rounds,
+            tape,
+            audited: false,
+        };
+    }
+
+    /// Replays the memo's tape (whose key and length match the caller's).
+    fn replay<M, B>(&mut self, behavior: &mut B, rounds: u64)
+    where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        let tape = std::mem::take(&mut self.memo.tape);
+        let mut oracle =
+            (cfg!(debug_assertions) && !self.memo.audited).then(|| ResolverKind::Naive.build());
+        let mut tx = std::mem::take(&mut self.tx_nodes);
+        let mut rx: Vec<Reception> = Vec::new();
+        let mut msgs: Vec<M> = Vec::with_capacity(self.tx_msgs_scratch);
+        let (mut pos, mut done) = (0, 0);
+        let mut intact = true;
+        while intact && done < rounds {
+            let (gap, eventful) = if pos < tape.len() {
+                (decode_round(&tape, &mut pos, &mut tx, &mut rx), true)
+            } else {
+                (rounds - done, false)
+            };
+            for _ in 0..gap {
+                self.replay_round(behavior, &[], &[], &mut msgs, oracle.as_mut());
+            }
+            done += gap;
+            if eventful {
+                intact = self.replay_round(behavior, &tx, &rx, &mut msgs, oracle.as_mut());
+                done += u64::from(intact);
+            }
+        }
+        self.tx_nodes = tx;
+        self.memo.tape = tape;
+        self.memo.audited = true;
+        if !intact {
+            self.memo.key = None;
+            for _ in done..rounds {
+                self.step(behavior);
+            }
+        }
+    }
+
+    /// Replays one taped round. With an `oracle` (the audit), polls every
+    /// node and re-resolves the round, asserting both match the tape.
+    /// Returns false, with the round not executed, when a taped
+    /// transmitter declines.
+    fn replay_round<M, B>(
+        &mut self,
+        behavior: &mut B,
+        tx: &[usize],
+        rx: &[Reception],
+        msgs: &mut Vec<M>,
+        oracle: Option<&mut Box<dyn SinrResolver>>,
+    ) -> bool
+    where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        let round = self.round;
+        msgs.clear();
+        if let Some(oracle) = oracle {
+            let mut polled = Vec::new();
+            for v in 0..self.net.len() {
+                if let Some(m) = behavior.transmit(self.net, v, round) {
+                    polled.push(v);
+                    msgs.push(m);
+                }
+            }
+            assert_eq!(
+                polled, tx,
+                "round {round}: transmitters differ from the replay tape"
+            );
+            assert_eq!(
+                oracle.resolve(self.net, tx),
+                rx,
+                "round {round}: the naive oracle disagrees with the replay tape"
+            );
+        } else {
+            for &v in tx {
+                let Some(m) = behavior.transmit(self.net, v, round) else {
+                    return false;
+                };
+                msgs.push(m);
+            }
+        }
+        for r in rx {
+            behavior.receive(self.net, r.receiver, round, r.sender, &msgs[r.slot]);
+        }
+        behavior.end_round(self.net, round);
+        self.stats.replayed_rounds += 1;
+        self.finish_round(tx.len(), rx.len(), None);
+        true
     }
 
     /// Runs `behavior` until `done` returns true or `max_rounds` elapse;
@@ -297,6 +495,72 @@ impl<'n> Engine<'n> {
         }
         self.round - start
     }
+}
+
+/// Appends the LEB128 varint of `x` to `tape`.
+fn put_varint(tape: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        tape.push((x as u8) | 0x80);
+        x >>= 7;
+    }
+    tape.push(x as u8);
+}
+
+/// Reads the LEB128 varint at `*pos`, advancing `*pos` past it.
+fn get_varint(tape: &[u8], pos: &mut usize) -> u64 {
+    let (mut x, mut shift) = (0u64, 0);
+    loop {
+        let byte = tape[*pos];
+        *pos += 1;
+        x |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return x;
+        }
+        shift += 7;
+    }
+}
+
+/// Tapes one eventful round preceded by `gap` silent rounds. `tx` and the
+/// receivers of `rx` must be ascending.
+fn encode_round(tape: &mut Vec<u8>, gap: u64, tx: &[usize], rx: &[Reception]) {
+    put_varint(tape, gap);
+    put_varint(tape, tx.len() as u64);
+    let mut prev = 0;
+    for &v in tx {
+        put_varint(tape, (v - prev) as u64);
+        prev = v;
+    }
+    put_varint(tape, rx.len() as u64);
+    prev = 0;
+    for r in rx {
+        put_varint(tape, (r.receiver - prev) as u64);
+        put_varint(tape, r.slot as u64);
+        prev = r.receiver;
+    }
+}
+
+/// Reads the round record at `*pos` into `tx` and `rx` (both cleared
+/// first); returns the silent rounds that precede it.
+fn decode_round(tape: &[u8], pos: &mut usize, tx: &mut Vec<usize>, rx: &mut Vec<Reception>) -> u64 {
+    let gap = get_varint(tape, pos);
+    tx.clear();
+    let mut v = 0;
+    for _ in 0..get_varint(tape, pos) {
+        v += get_varint(tape, pos) as usize;
+        tx.push(v);
+    }
+    rx.clear();
+    let mut receiver = 0;
+    for _ in 0..get_varint(tape, pos) {
+        receiver += get_varint(tape, pos) as usize;
+        let slot = get_varint(tape, pos) as usize;
+        rx.push(Reception {
+            receiver,
+            sender: tx[slot],
+            slot,
+        });
+    }
+    gap
 }
 
 /// A behavior defined by closures — handy for tests and tiny protocols.
@@ -460,5 +724,258 @@ mod tests {
         };
         let used = engine.run_until(&mut b, 100, |_| true);
         assert_eq!(used, 0);
+    }
+
+    /// Node `v` transmits in local round `lr = round mod len` when a hash
+    /// of `(lr, v)` says so, except in every third round; a message
+    /// carries its sender and the current `generation`. With `decline`
+    /// set, even nodes never transmit. Logs every delivery and round end.
+    struct Pattern {
+        seed: u64,
+        len: u64,
+        generation: u32,
+        decline: bool,
+        log: Vec<(usize, u64, usize, (usize, u32))>,
+        ends: Vec<u64>,
+    }
+
+    impl Pattern {
+        fn new(seed: u64, len: u64) -> Self {
+            Self {
+                seed,
+                len,
+                generation: 0,
+                decline: false,
+                log: Vec::new(),
+                ends: Vec::new(),
+            }
+        }
+    }
+
+    impl RoundBehavior<(usize, u32)> for Pattern {
+        fn transmit(&mut self, _: &Network, v: usize, round: u64) -> Option<(usize, u32)> {
+            let lr = round % self.len;
+            let on =
+                !lr.is_multiple_of(3) && crate::rng::hash_chance(self.seed, &[lr, v as u64], 0.4);
+            (on && !(self.decline && v.is_multiple_of(2))).then_some((v, self.generation))
+        }
+        fn receive(&mut self, _: &Network, v: usize, round: u64, sender: usize, m: &(usize, u32)) {
+            self.log.push((v, round, sender, *m));
+        }
+        fn end_round(&mut self, _: &Network, round: u64) {
+            self.ends.push(round);
+        }
+    }
+
+    /// 36 nodes on a 0.45-spaced grid: rounds of about 14 transmitters,
+    /// so the aggregated backend takes its field path.
+    fn grid36() -> Network {
+        let pts: Vec<Point> = (0..36)
+            .map(|i| Point::new((i % 6) as f64 * 0.45, (i / 6) as f64 * 0.45))
+            .collect();
+        Network::builder(pts).build().unwrap()
+    }
+
+    /// Everything a sequence of runs exposes.
+    struct Outcome {
+        deliveries: Vec<(usize, u64, usize, (usize, u32))>,
+        round_ends: Vec<u64>,
+        stats: EngineStats,
+        last_round: RoundStats,
+        phases: Vec<dcluster_obs::PhaseSummary>,
+        /// Trace `Round` events as `(round, tx, rx)`.
+        trace: Vec<(u64, u64, u64)>,
+        /// Resolver rounds after each run.
+        resolved: Vec<u64>,
+    }
+
+    /// Runs `plan` — `(key, behavior index, generation, decline)` per run,
+    /// each `len` rounds — keyed or as plain steps, on a fresh traced
+    /// engine.
+    fn drive(
+        net: &Network,
+        kind: ResolverKind,
+        keyed: bool,
+        behaviors: &mut [Pattern],
+        plan: &[(u64, usize, u32, bool)],
+    ) -> Outcome {
+        let mut engine = Engine::with_resolver_kind(net, kind);
+        let recorder = dcluster_obs::shared(dcluster_obs::Recorder::new());
+        engine.set_tracer(recorder.clone());
+        let mut resolved = Vec::new();
+        for &(key, i, generation, decline) in plan {
+            let b = &mut behaviors[i];
+            b.generation = generation;
+            b.decline = decline;
+            let len = b.len;
+            engine.begin_phase("unit");
+            if keyed {
+                engine.run_keyed(key, b, len);
+            } else {
+                engine.run(b, len);
+            }
+            engine.end_phase();
+            resolved.push(engine.resolver_stats().rounds);
+        }
+        let trace = recorder
+            .borrow()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Round { round, tx, rx, .. } => Some((round, tx, rx)),
+                _ => None,
+            })
+            .collect();
+        Outcome {
+            deliveries: behaviors.iter().flat_map(|b| b.log.clone()).collect(),
+            round_ends: behaviors.iter().flat_map(|b| b.ends.clone()).collect(),
+            stats: engine.stats(),
+            last_round: engine.last_round_stats(),
+            phases: engine.phase_table().summaries().to_vec(),
+            trace,
+            resolved,
+        }
+    }
+
+    const LEN: u64 = 40;
+
+    #[test]
+    fn keyed_replay_matches_plain_steps() {
+        let net = grid36();
+        for kind in ResolverKind::ALL {
+            let plan = [(7, 0, 1, false), (7, 0, 2, false)];
+            let keyed = drive(&net, kind, true, &mut [Pattern::new(1, LEN)], &plan);
+            let plain = drive(&net, kind, false, &mut [Pattern::new(1, LEN)], &plan);
+            assert_eq!(keyed.deliveries, plain.deliveries, "deliveries ({kind})");
+            assert!(
+                keyed.deliveries.iter().any(|e| e.1 >= LEN && e.3 .1 == 2),
+                "the replay delivers fresh messages ({kind})"
+            );
+            assert_eq!(keyed.round_ends, plain.round_ends, "round ends ({kind})");
+            let expected = EngineStats {
+                replayed_rounds: LEN,
+                ..plain.stats
+            };
+            assert_eq!(keyed.stats, expected, "stats ({kind})");
+            assert_eq!(
+                keyed.last_round, plain.last_round,
+                "last-round stats ({kind})"
+            );
+            assert_eq!(keyed.phases, plain.phases, "phase table ({kind})");
+            assert_eq!(keyed.trace, plain.trace, "trace rounds ({kind})");
+            assert!(keyed.trace.iter().any(|r| r.1 == 0) && keyed.trace.iter().any(|r| r.1 > 8));
+            assert_eq!(
+                keyed.resolved,
+                [LEN, LEN],
+                "the replay resolves nothing ({kind})"
+            );
+            assert_eq!(plain.resolved, [LEN, 2 * LEN]);
+        }
+    }
+
+    #[test]
+    fn an_interleaved_key_forces_a_re_record() {
+        let net = grid36();
+        // A, B, A: the slot holds B when A returns, so A re-records; a
+        // fourth run of A then replays.
+        let plan = [
+            (1, 0, 1, false),
+            (2, 1, 1, false),
+            (1, 0, 2, false),
+            (1, 0, 3, false),
+        ];
+        let behaviors = || [Pattern::new(1, LEN), Pattern::new(2, LEN)];
+        let keyed = drive(
+            &net,
+            ResolverKind::Aggregated,
+            true,
+            &mut behaviors(),
+            &plan,
+        );
+        let plain = drive(
+            &net,
+            ResolverKind::Aggregated,
+            false,
+            &mut behaviors(),
+            &plan,
+        );
+        assert_eq!(keyed.deliveries, plain.deliveries);
+        assert_eq!(keyed.trace, plain.trace);
+        assert_eq!(keyed.resolved, [LEN, 2 * LEN, 3 * LEN, 3 * LEN]);
+        assert_eq!(keyed.stats.replayed_rounds, LEN);
+    }
+
+    #[test]
+    fn a_broken_key_contract_falls_back_to_plain_steps() {
+        let net = grid36();
+        // The third run declines some taped transmissions (after the
+        // second run spent the audit), so the engine drops the tape mid-run
+        // and the fourth run re-records.
+        let plan = [
+            (3, 0, 1, false),
+            (3, 0, 2, false),
+            (3, 0, 3, true),
+            (3, 0, 4, true),
+        ];
+        let keyed = drive(
+            &net,
+            ResolverKind::Aggregated,
+            true,
+            &mut [Pattern::new(1, LEN)],
+            &plan,
+        );
+        let plain = drive(
+            &net,
+            ResolverKind::Aggregated,
+            false,
+            &mut [Pattern::new(1, LEN)],
+            &plan,
+        );
+        assert_eq!(keyed.deliveries, plain.deliveries);
+        assert_eq!(keyed.round_ends, plain.round_ends);
+        assert_eq!(keyed.trace, plain.trace);
+        let replayed = keyed.stats.replayed_rounds;
+        assert!((LEN..2 * LEN).contains(&replayed), "replayed {replayed}");
+        assert_eq!(
+            keyed.resolved[3] - keyed.resolved[2],
+            LEN,
+            "the fourth run re-records"
+        );
+    }
+
+    #[test]
+    fn tape_round_trips_multi_byte_varints() {
+        // Indices ≥ 2^14 take three varint bytes and slots ≥ 128 two.
+        let tx: Vec<usize> = (0..300).map(|i| (1 << 14) + 1000 * i).collect();
+        let rx: Vec<Reception> = (0..150)
+            .map(|i| {
+                let slot = 299 - i;
+                Reception {
+                    receiver: (1 << 20) + 7 * i,
+                    sender: tx[slot],
+                    slot,
+                }
+            })
+            .collect();
+        let records = [
+            (0, &tx[..1], &rx[..0]),
+            (300, &tx, &rx),
+            (1 << 40, &tx[..200], &rx[100..]),
+        ];
+        let mut tape = Vec::new();
+        for &(gap, t, r) in &records {
+            encode_round(&mut tape, gap, t, r);
+        }
+        let (mut pos, mut t, mut r) = (0, Vec::new(), Vec::new());
+        for &(gap, t0, r0) in &records {
+            assert_eq!(decode_round(&tape, &mut pos, &mut t, &mut r), gap);
+            assert_eq!((&t[..], &r[..]), (t0, r0));
+        }
+        assert_eq!(pos, tape.len());
+        for x in [0, 127, 128, 1 << 14, u64::MAX] {
+            let mut one = Vec::new();
+            put_varint(&mut one, x);
+            assert_eq!(get_varint(&one, &mut 0), x);
+        }
     }
 }
