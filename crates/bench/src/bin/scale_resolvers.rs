@@ -1,26 +1,21 @@
 //! **Resolver scaling sweep** — wall clock and agreement of the two
 //! SINR resolver backends on uniform deployments, up to 10⁵ nodes.
 //!
-//! Three sweep modes per network size:
+//! Two timed sweep modes per network size:
 //!
 //! * **few** — rotating sets of exactly `DIRECT_MAX_TX` and
 //!   `4·DIRECT_MAX_TX` transmitters, one on each side of the threshold
 //!   where `aggregated` switches from the direct sum to its field;
 //! * **rotate** — deterministic rotating transmitter sets at two
-//!   densities: consecutive rounds are unrelated, so the field cache's
-//!   sparse-patch heuristic bails to a rebuild and every round pays the
-//!   full field cost;
-//! * **evolve** — a saturated membership set (99.95% transmit — the
-//!   busy-tone/wake-up-storm regime, where the round cost *is* the
-//!   interference field) churned by ~0.01% of the nodes per round:
-//!   `aggregated` patches its cached field with the sparse diff, and the
-//!   speedup over a fresh `aggregated` per round (`aggregated-rebuild`,
-//!   which rebuilds the field every round) is recorded.
+//!   densities, consecutive rounds unrelated.
 //!
 //! Every mode audits that both backends return identical receptions
 //! (the naive oracle joins only at sizes where its `O(n·|T|)` cost stays
 //! reasonable); the audit reuses one resolver instance per backend
-//! across rounds, so the persistent patch path is what gets audited.
+//! across rounds. A third, untimed **evolve** set joins the audit only: a
+//! saturated membership (99.95% transmit, the busy-tone/wake-up-storm
+//! regime, where nearly every listener is a field-path candidate) churned
+//! by ~0.01% of the nodes per round.
 //!
 //! Scale tiers (`DCLUSTER_SCALE`):
 //!
@@ -47,13 +42,12 @@ use std::time::Instant;
 const ROUNDS: usize = 8;
 /// Naive oracle joins the audit only up to this size.
 const NAIVE_CAP: usize = 4_000;
-/// Transmit fraction of the evolve mode (saturated: almost everyone
-/// transmits, so per-round cost is dominated by the interference field,
-/// which `aggregated` patches instead of rebuilding).
+/// Transmit fraction of the evolve audit set (saturated: almost everyone
+/// transmits).
 const EVOLVE_FRAC: f64 = 0.9995;
 /// Fraction of nodes whose membership flips per evolve round. Kept
 /// sparse (0.01%) so churn does not accumulate a listener pool across
-/// rounds — the regime stays saturated and the field cost dominant.
+/// rounds and the regime stays saturated.
 const EVOLVE_CHURN: f64 = 0.000_1;
 
 struct Row {
@@ -61,44 +55,18 @@ struct Row {
     n: usize,
     tx_frac: f64,
     tx_avg: usize,
-    /// A backend name, or `aggregated-rebuild`.
     resolver: &'static str,
     millis: f64,
     receptions: u64,
 }
 
-impl Row {
-    fn new(mode: &'static str, n: usize, tx_sets: &[Vec<usize>], resolver: &'static str) -> Self {
-        Row {
-            mode,
-            n,
-            tx_frac: 0.0,
-            tx_avg: tx_sets.iter().map(Vec::len).sum::<usize>() / tx_sets.len(),
-            resolver,
-            millis: 0.0,
-            receptions: 0,
-        }
-    }
-}
-
-/// Times `ROUNDS` resolves of `tx_sets` through `kind`: one instance for
-/// every round, so the backend's cross-round state is in play, or a fresh
-/// instance per round when `fresh_per_round` (evolve mode's rebuild
-/// baseline).
-fn time_kind(
-    net: &Network,
-    kind: ResolverKind,
-    tx_sets: &[Vec<usize>],
-    fresh_per_round: bool,
-) -> (f64, u64) {
+/// Times `ROUNDS` resolves of `tx_sets` through one instance of `kind`.
+fn time_kind(net: &Network, kind: ResolverKind, tx_sets: &[Vec<usize>]) -> (f64, u64) {
     let mut resolver = kind.build();
     let mut out = Vec::new();
     let mut receptions = 0u64;
     let start = Instant::now();
     for tx in tx_sets {
-        if fresh_per_round {
-            resolver = kind.build();
-        }
         resolver.resolve_into(net, tx, &mut out);
         receptions += out.len() as u64;
     }
@@ -195,20 +163,23 @@ fn main() {
             if !audit(&net, &tx_sets, &kinds, &label) {
                 disagreements += 1;
             }
+            let tx_avg = tx_sets.iter().map(Vec::len).sum::<usize>() / tx_sets.len();
             for &kind in &kinds {
-                let (millis, receptions) = time_kind(&net, kind, &tx_sets, false);
+                let (millis, receptions) = time_kind(&net, kind, &tx_sets);
                 rows.push(Row {
+                    mode,
+                    n,
                     tx_frac: frac,
+                    tx_avg,
+                    resolver: kind.name(),
                     millis,
                     receptions,
-                    ..Row::new(mode, n, &tx_sets, kind.name())
                 });
             }
             eprintln!("done: n={n}, {label}");
         }
 
-        // Mode 3: saturated membership with sparse churn — the persistent
-        // field is patched instead of rebuilt.
+        // Evolve: saturated membership with sparse churn, audited only.
         {
             let mut rng = Rng64::new(0xE01_5E7 ^ n as u64);
             let mut member: Vec<bool> = (0..n).map(|_| rng.chance(EVOLVE_FRAC)).collect();
@@ -225,26 +196,7 @@ fn main() {
             if !audit(&net, &tx_sets, &kinds, "evolve") {
                 disagreements += 1;
             }
-            let (rebuild, receptions) = time_kind(&net, ResolverKind::Aggregated, &tx_sets, true);
-            rows.push(Row {
-                tx_frac: EVOLVE_FRAC,
-                millis: rebuild,
-                receptions,
-                ..Row::new("evolve", n, &tx_sets, "aggregated-rebuild")
-            });
-            let (persistent, receptions) =
-                time_kind(&net, ResolverKind::Aggregated, &tx_sets, false);
-            rows.push(Row {
-                tx_frac: EVOLVE_FRAC,
-                millis: persistent,
-                receptions,
-                ..Row::new("evolve", n, &tx_sets, ResolverKind::Aggregated.name())
-            });
-            eprintln!(
-                "done: n={n} (evolve): aggregated-rebuild {rebuild:.1} ms, \
-                 aggregated {persistent:.1} ms, speedup {:.2}x",
-                rebuild / persistent.max(1e-9)
-            );
+            eprintln!("done: n={n}, evolve (audit only)");
         }
     }
 
@@ -280,8 +232,7 @@ fn main() {
     write_json(&rows, tier);
 
     // CI gate: exact agreement plus bounded regression of the default
-    // backend against the oracle, at the sizes where the oracle runs
-    // (few and rotate modes: the oracle runs no evolve rounds).
+    // backend against the oracle, at the sizes where the oracle runs.
     if disagreements > 0 {
         eprintln!("FAIL: {disagreements} resolver disagreement(s)");
         std::process::exit(1);
@@ -289,7 +240,7 @@ fn main() {
     if tier == Scale::Ci {
         let total = |k: ResolverKind| -> f64 {
             rows.iter()
-                .filter(|r| r.resolver == k.name() && r.mode != "evolve" && r.n <= NAIVE_CAP)
+                .filter(|r| r.resolver == k.name() && r.n <= NAIVE_CAP)
                 .map(|r| r.millis)
                 .sum::<f64>()
         };

@@ -75,10 +75,7 @@ pub fn flag_value(flag: &str) -> Option<String> {
             return Some(v.to_string());
         }
         if arg == flag {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} needs a value")),
-            );
+            return Some(or_exit(args.next().ok_or(format!("{flag} needs a value"))));
         }
     }
     None
@@ -99,13 +96,11 @@ pub fn trace_flag() -> Option<std::path::PathBuf> {
         .map(std::path::PathBuf::from)
 }
 
-/// The spec named by `--scenario <file>.scn`, if given; parse errors
-/// abort naming the file and line.
+/// The spec named by `--scenario <file>.scn`, if given; read and parse
+/// errors exit with status 1 ([`or_exit`]), naming the file and line.
 pub fn scenario_override() -> Option<ScenarioSpec> {
-    flag_value("--scenario").map(|path| match ScenarioSpec::load(&path) {
-        Ok(spec) => spec,
-        Err(e) => panic!("--scenario: {e}"),
-    })
+    flag_value("--scenario")
+        .map(|path| or_exit(ScenarioSpec::load(&path).map_err(|e| format!("--scenario: {e}"))))
 }
 
 /// The standard `--scenario` entry point for workload binaries: when the

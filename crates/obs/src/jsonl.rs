@@ -13,8 +13,8 @@
 //! ```text
 //! {"schema":"dcluster-trace/1","scenario":…,"workload":…,"n":…,"resolver":…,"seed":…}
 //! {"ev":"phase_start","phase":"clustering","round":0}
-//! {"ev":"round","round":3,"tx":17,"rx":4,"cache":"patch","ins":2,"rem":1}
-//! {"ev":"round","round":4,"tx":16,"rx":5}            // no cache in play
+//! {"ev":"round","round":3,"tx":17,"rx":4,"cache":"rebuild"} // resolved through a field built for this round
+//! {"ev":"round","round":4,"tx":3,"rx":2}             // direct, silent or replayed round
 //! {"ev":"phase_end","phase":"clustering","round":9,"rounds":9,"tx":120,"rx":41}
 //! {"ev":"epoch","epoch":0,"rounds":88,"re_elections":2,"violations":0}
 //! ```
@@ -102,12 +102,8 @@ pub fn event_line(ev: &Event) -> String {
             cache,
         } => {
             let mut line = format!("{{\"ev\":\"round\",\"round\":{round},\"tx\":{tx},\"rx\":{rx}");
-            match cache {
-                None => {}
-                Some(CacheOp::Rebuilt) => line.push_str(",\"cache\":\"rebuild\""),
-                Some(CacheOp::Patched { inserts, removals }) => {
-                    let _ = write!(line, ",\"cache\":\"patch\",\"ins\":{inserts},\"rem\":{removals}");
-                }
+            if let Some(CacheOp::Rebuilt) = cache {
+                line.push_str(",\"cache\":\"rebuild\"");
             }
             line.push('}');
             line
@@ -209,14 +205,11 @@ mod tests {
         assert_eq!(
             event_line(&Event::Round {
                 round: 3,
-                tx: 17,
+                tx: 7,
                 rx: 4,
-                cache: Some(CacheOp::Patched {
-                    inserts: 2,
-                    removals: 1
-                })
+                cache: None
             }),
-            "{\"ev\":\"round\",\"round\":3,\"tx\":17,\"rx\":4,\"cache\":\"patch\",\"ins\":2,\"rem\":1}"
+            "{\"ev\":\"round\",\"round\":3,\"tx\":7,\"rx\":4}"
         );
         assert_eq!(
             event_line(&Event::Round {

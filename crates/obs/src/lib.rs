@@ -11,8 +11,8 @@
 //! ## Determinism contract
 //!
 //! Everything this crate records is a pure function of the simulation:
-//! round numbers, transmitter/reception counts, cache patch/rebuild
-//! decisions, phase names. No timestamps, no map-iteration order, no
+//! round numbers, transmitter/reception counts, which rounds were
+//! resolved through an interference field, phase names. No timestamps, no map-iteration order, no
 //! thread interleavings. Two runs of the same scenario produce
 //! byte-identical traces — which is what makes `xtask tracediff` a
 //! *localizing* determinism check instead of a byte-compare oracle.
@@ -46,20 +46,12 @@ pub use registry::{Histogram, Registry};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// What the persistent interference field did for one resolved round.
+/// How a resolver answered one round, when it used an interference field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOp {
-    /// The cached field was discarded and rebuilt from the full
-    /// transmitter set (cold start, stamp mismatch, or a diff past the
-    /// rebuild heuristic).
+    /// The round was resolved through a field built for this round from
+    /// its full transmitter set.
     Rebuilt,
-    /// The cached field was patched with the sparse transmitter diff.
-    Patched {
-        /// Transmitters inserted into the field.
-        inserts: usize,
-        /// Transmitters removed from the field.
-        removals: usize,
-    },
 }
 
 /// One observability event. Every field is a deterministic function of
@@ -94,7 +86,9 @@ pub enum Event {
         tx: u64,
         /// Successful receptions delivered.
         rx: u64,
-        /// What the persistent field cache did, if the resolver has one.
+        /// `Some(Rebuilt)` when the round was resolved through a field
+        /// built for this round; `None` for direct, silent and replayed
+        /// rounds.
         cache: Option<CacheOp>,
     },
     /// One maintenance epoch finished.
@@ -192,14 +186,8 @@ impl Tracer for Recorder {
             if *tx == 0 {
                 self.registry.inc("silent_rounds");
             }
-            match cache {
-                Some(CacheOp::Rebuilt) => self.registry.inc("cache_rebuilds"),
-                Some(CacheOp::Patched { inserts, removals }) => {
-                    self.registry.inc("cache_patches");
-                    self.registry
-                        .observe("cache_diff", (inserts + removals) as u64);
-                }
-                None => {}
+            if let Some(CacheOp::Rebuilt) = cache {
+                self.registry.inc("cache_rebuilds");
             }
         }
         self.events.push(ev.clone());
@@ -222,14 +210,7 @@ mod tests {
                 round,
                 tx: if round == 2 { 0 } else { 3 },
                 rx: 1,
-                cache: Some(if round == 0 {
-                    CacheOp::Rebuilt
-                } else {
-                    CacheOp::Patched {
-                        inserts: 1,
-                        removals: 1,
-                    }
-                }),
+                cache: (round != 2).then_some(CacheOp::Rebuilt),
             });
         }
         r.on_event(&Event::PhaseEnd {
@@ -243,8 +224,7 @@ mod tests {
         assert_eq!(r.registry().counter("round"), 4);
         assert_eq!(r.registry().counter("phase_start"), 1);
         assert_eq!(r.registry().counter("silent_rounds"), 1);
-        assert_eq!(r.registry().counter("cache_rebuilds"), 1);
-        assert_eq!(r.registry().counter("cache_patches"), 3);
+        assert_eq!(r.registry().counter("cache_rebuilds"), 3);
     }
 
     #[test]

@@ -163,8 +163,10 @@ impl Runner {
     ///
     /// Returns a [`SpecError`] naming the offending spec section when the
     /// deployment layers realize to zero points (e.g. every layer has
-    /// `n=0`) or the ID settings are inconsistent with the node count.
+    /// `n=0`), the ID settings are inconsistent with the node count, or a
+    /// dynamics value is out of range ([`DynamicsSpec::validate`]).
     pub fn build_network(&self) -> Result<Network, SpecError> {
+        self.validate_dynamics()?;
         let layers = &self.spec.deploy.layers;
         if layers.is_empty() {
             return Err(SpecError {
@@ -227,6 +229,19 @@ impl Runner {
             }
             _ => net,
         }))
+    }
+
+    /// [`DynamicsSpec::validate`] over every dynamics line, for specs built
+    /// in code (parsed specs were checked line by line already).
+    fn validate_dynamics(&self) -> Result<(), SpecError> {
+        self.spec
+            .dynamics
+            .iter()
+            .try_for_each(DynamicsSpec::validate)
+            .map_err(|m| SpecError {
+                line: 0,
+                msg: format!("dynamics section: {m}"),
+            })
     }
 
     fn with_id_settings(&self, pts: Vec<Point>) -> Result<Network, SpecError> {
@@ -360,6 +375,7 @@ impl Runner {
     ///
     /// As [`Runner::run`], minus the deployment errors.
     pub fn run_on(&self, net: Network, workload: &Workload) -> Result<Report, SpecError> {
+        self.validate_dynamics()?;
         let kind = self.resolver_for(&net)?;
         let params = self.spec.params;
         let mut seeds = SeedSeq::new(params.seed);
@@ -577,6 +593,27 @@ mod tests {
             err.msg.contains("deploy degree"),
             "degree deployments name their section too, got: {err}"
         );
+    }
+
+    #[test]
+    fn out_of_range_dynamics_in_code_built_specs_are_spec_errors() {
+        let ok = ScenarioSpec::uniform("churny", 1, 20, 2.0);
+        let net = Runner::new(ok.clone()).build_network().unwrap();
+        for bad in [
+            DynamicsSpec::Churn {
+                sleep: 2.0,
+                wake: 0.3,
+            },
+            DynamicsSpec::HetPower { spread: -2.0 },
+        ] {
+            let runner = Runner::new(ok.clone().dynamics(bad.clone()));
+            let err = runner.build_network().unwrap_err();
+            assert!(err.msg.contains("dynamics section"), "{bad:?}: {err}");
+            let err = runner
+                .run_on(net.clone(), &Workload::Maintenance)
+                .unwrap_err();
+            assert!(err.msg.contains("dynamics section"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -194,6 +194,34 @@ pub enum DynamicsSpec {
     },
 }
 
+impl DynamicsSpec {
+    /// Checks the value ranges the models need: churn probabilities in
+    /// `[0, 1]` and a non-negative power spread. [`ScenarioSpec::parse`]
+    /// reports a failure with its line number, [`crate::Runner`] for
+    /// specs built in code.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending key, its value and the allowed range.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        match *self {
+            DynamicsSpec::Churn { sleep, wake } => [("sleep", sleep), ("wake", wake)]
+                .into_iter()
+                .try_for_each(|(key, p)| {
+                    if (0.0..=1.0).contains(&p) {
+                        Ok(())
+                    } else {
+                        Err(format!("churn {key}={p}: must lie in [0, 1]"))
+                    }
+                }),
+            DynamicsSpec::HetPower { spread } if !(spread >= 0.0 && spread.is_finite()) => Err(
+                format!("het_power spread={spread}: must be finite and non-negative"),
+            ),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// What the [`crate::Runner`] executes against the scenario's world.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Workload {
@@ -793,6 +821,7 @@ fn parse_dynamics(rest: &str, line: usize) -> Result<DynamicsSpec, SpecError> {
             ))
         }
     };
+    d.validate().map_err(|m| err(line, m))?;
     Ok(d)
 }
 
@@ -1009,6 +1038,25 @@ mod tests {
         assert_eq!(e.line, 2);
         let e = ScenarioSpec::parse("deploy uniform n=10 side=2\nworkload frisbee\n").unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn out_of_range_dynamics_values_are_line_numbered_errors() {
+        for (bad, key) in [
+            ("churn sleep=2 wake=0.3", "sleep=2"),
+            ("churn sleep=0.1 wake=-0.1", "wake=-0.1"),
+            ("het_power spread=-2", "spread=-2"),
+            ("het_power spread=-0.5", "spread=-0.5"),
+        ] {
+            let text = format!("seed 1\ndeploy uniform n=10 side=2\ndynamics {bad}\n");
+            let e = ScenarioSpec::parse(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{bad}: {e}");
+            assert!(e.msg.contains(key), "{bad}: {e}");
+        }
+        // The range ends themselves are valid.
+        let text = "deploy uniform n=10 side=2\ndynamics churn sleep=0 wake=1\n\
+                    dynamics het_power spread=0\n";
+        assert_eq!(ScenarioSpec::parse(text).unwrap().dynamics.len(), 2);
     }
 
     #[test]

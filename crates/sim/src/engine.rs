@@ -254,13 +254,6 @@ impl<'n> Engine<'n> {
         self.resolver.stats()
     }
 
-    /// Audits the resolver's incrementally-maintained state (the
-    /// aggregated backend's cached interference field) against a rebuild
-    /// from scratch. Backends without such state trivially pass.
-    pub fn audit_resolver(&self) -> Result<(), String> {
-        self.resolver.audit(self.net)
-    }
-
     /// Statistics of the most recently executed round (zeroed before the
     /// first [`Engine::step`]).
     pub fn last_round_stats(&self) -> RoundStats {

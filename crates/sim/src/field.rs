@@ -53,7 +53,8 @@ use crate::point::Point;
 use crate::SinrParams;
 
 /// Counters describing how an [`InterferenceField`] resolved its queries
-/// (diagnostics for the resolver statistics).
+/// (diagnostics for the resolver statistics). The caller owns them and
+/// passes them to every [`InterferenceField::decide`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FieldStats {
     /// Queries answered (one per candidate receiver).
@@ -67,17 +68,6 @@ pub struct FieldStats {
     pub exact_fallbacks: u64,
 }
 
-impl FieldStats {
-    /// Accumulates another counter set into this one. All fields are
-    /// plain counts, so merging is commutative and order-independent.
-    pub fn merge(&mut self, other: FieldStats) {
-        self.queries += other.queries;
-        self.residual_decided += other.residual_decided;
-        self.exhausted += other.exhausted;
-        self.exact_fallbacks += other.exact_fallbacks;
-    }
-}
-
 /// A per-round interference summary over the transmitter set. See the
 /// module docs for the exactness argument.
 ///
@@ -89,28 +79,18 @@ impl FieldStats {
 /// exact. With uniform power every formula is bit-identical to the classic
 /// path.
 ///
-/// The field also supports **sparse maintenance** across rounds
-/// ([`insert_transmitter`](InterferenceField::insert_transmitter),
-/// [`remove_transmitter`](InterferenceField::remove_transmitter),
-/// [`move_transmitter`](InterferenceField::move_transmitter)): workloads
-/// whose transmitter set changes by `k` nodes per round pay `O(k)` updates
-/// instead of an `O(|T|)` rebuild, and the maintained field returns
-/// exactly the decisions of a fresh rebuild (the underlying grid is
-/// structurally identical; the power cap may stay loose after removals,
-/// which can only shift *which* bound concludes, never the decision).
+/// A field is immutable once built: a resolver builds one per round and
+/// queries it through `&self`.
 #[derive(Debug)]
 pub struct InterferenceField {
     grid: Grid,
     /// Transmitter indices in caller order — the exact fallback iterates
     /// this (not the hash map of cells) so summation order, and with it
     /// every last-ulp rounding decision, is deterministic across runs.
-    /// (Engine-produced transmitter sets are sorted ascending, which is
-    /// also what the incremental operations maintain.)
     tx: Vec<u32>,
-    /// Upper bound on every stored transmitter's power; drives the
-    /// far-field residual. Monotone under maintenance: removals keep it.
+    /// The largest stored transmitter's power; drives the far-field
+    /// residual.
     power_cap: f64,
-    stats: FieldStats,
 }
 
 impl InterferenceField {
@@ -123,7 +103,6 @@ impl InterferenceField {
             grid: Grid::build_subset(points, transmitters, cell),
             tx: transmitters.iter().map(|&t| t as u32).collect(),
             power_cap: transmitters.iter().map(|&t| powers[t]).fold(0.0, f64::max),
-            stats: FieldStats::default(),
         }
     }
 
@@ -132,108 +111,13 @@ impl InterferenceField {
         &self.grid
     }
 
-    /// Number of transmitters this round.
-    pub fn transmitter_count(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// The stored transmitter indices, in fallback-summation order (caller
-    /// order at build time; kept sorted ascending by the incremental ops).
-    pub fn tx(&self) -> &[u32] {
-        &self.tx
-    }
-
-    /// Checks this (possibly incrementally maintained) field against a
-    /// fresh rebuild over its own transmitter set: the subset grid must be
-    /// structurally identical and the power cap must still bound every
-    /// stored transmitter's power. Both conditions together imply the
-    /// maintained field returns exactly a rebuilt field's decisions (the
-    /// cap may be loose after removals — that shifts which bound concludes,
-    /// never the outcome).
-    pub fn audit_against_rebuild(&self, points: &[Point], powers: &[f64]) -> Result<(), String> {
-        let tx: Vec<usize> = self.tx.iter().map(|&t| t as usize).collect();
-        let fresh = InterferenceField::build(points, powers, &tx, self.grid.cell_size());
-        if self.grid != fresh.grid {
-            return Err("maintained interference field grid diverged from a fresh rebuild".into());
-        }
-        if self.power_cap < fresh.power_cap {
-            return Err(format!(
-                "maintained power cap {} no longer bounds the stored transmitters (need ≥ {})",
-                self.power_cap, fresh.power_cap
-            ));
-        }
-        Ok(())
-    }
-
-    /// Query counters accumulated so far.
-    pub fn stats(&self) -> FieldStats {
-        self.stats
-    }
-
-    /// Adds transmitter `t` (not currently stored) at `points[t]` —
-    /// `O(1)` hash-map work. Requires the field's transmitter set to be
-    /// sorted ascending (true for every engine-produced set).
-    pub fn insert_transmitter(&mut self, points: &[Point], powers: &[f64], t: usize) {
-        debug_assert!(
-            self.tx.windows(2).all(|w| w[0] < w[1]),
-            "incremental maintenance requires a sorted transmitter set"
-        );
-        self.grid.insert(t, points[t]);
-        match self.tx.binary_search(&(t as u32)) {
-            Ok(_) => debug_assert!(false, "transmitter {t} inserted twice"),
-            Err(pos) => self.tx.insert(pos, t as u32),
-        }
-        self.power_cap = self.power_cap.max(powers[t]);
-    }
-
-    /// Removes stored transmitter `t` located at `points[t]`. The power
-    /// cap is deliberately kept (still a valid, possibly loose, bound —
-    /// tightening it would cost an `O(|T|)` rescan without changing any
-    /// decision).
-    pub fn remove_transmitter(&mut self, points: &[Point], t: usize) {
-        self.grid.remove(t, points[t]);
-        let pos = self
-            .tx
-            .binary_search(&(t as u32))
-            .unwrap_or_else(|_| panic!("transmitter {t} not stored in the field")); // lint:allow(P1, reason = "caller guarantees t is a stored transmitter")
-        self.tx.remove(pos);
-    }
-
-    /// Relocates stored transmitter `t` from `from` to `to` (the caller
-    /// updates its own points array; the field stores only indices).
-    pub fn move_transmitter(&mut self, t: usize, from: Point, to: Point) {
-        debug_assert!(
-            self.tx.binary_search(&(t as u32)).is_ok(),
-            "moving a transmitter ({t}) the field does not store"
-        );
-        self.grid.move_point(t, from, to);
-    }
-
     /// Decides whether a candidate reception survives the full SINR test:
     /// returns `s1 ≥ β·(noise + I)` where `I` is the total interference at
     /// `u` over all transmitters except `sender` (whose signal `s1` at `u`
-    /// the caller already knows). Exact — see module docs.
-    pub fn decide(
-        &mut self,
-        points: &[Point],
-        powers: &[f64],
-        params: &SinrParams,
-        u: Point,
-        sender: usize,
-        s1: f64,
-    ) -> bool {
-        let mut stats = self.stats;
-        let got = self.decide_at(points, powers, params, u, sender, s1, &mut stats);
-        self.stats = stats;
-        got
-    }
-
-    /// The shared-reference form of [`InterferenceField::decide`]: answers
-    /// the same query without mutating the field, accumulating counters
-    /// into a caller-owned [`FieldStats`] instead. This is what lets a
-    /// resolver query the field it borrows from its cross-round cache.
+    /// the caller already knows). Exact — see module docs. Counts the query
+    /// in `stats`.
     #[allow(clippy::too_many_arguments)]
-    pub fn decide_at(
+    pub fn decide(
         &self,
         points: &[Point],
         powers: &[f64],
@@ -378,7 +262,8 @@ mod tests {
                 continue;
             }
             let powers = uniform_powers(n, &params);
-            let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let mut stats = FieldStats::default();
             for u in 0..n {
                 if tx.contains(&u) {
                     continue;
@@ -391,7 +276,7 @@ mod tests {
                         .map(|&w| params.signal(pts[w].dist(pts[u])))
                         .sum();
                     let want = s1 >= params.beta * (params.noise + full);
-                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1);
+                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1, &mut stats);
                     assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
                 }
             }
@@ -415,7 +300,8 @@ mod tests {
                 continue;
             }
             let sig = |w: usize, d: f64| powers[w] / d.max(1e-12).powf(params.alpha);
-            let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let mut stats = FieldStats::default();
             for u in 0..n {
                 if tx.contains(&u) {
                     continue;
@@ -428,94 +314,11 @@ mod tests {
                         .map(|&w| sig(w, pts[w].dist(pts[u])))
                         .sum();
                     let want = s1 >= params.beta * (params.noise + full);
-                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1);
+                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1, &mut stats);
                     assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn incrementally_maintained_field_decides_like_a_fresh_one() {
-        let params = SinrParams::default();
-        let mut rng = Rng64::new(55);
-        let n = 120;
-        let mut pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
-            .collect();
-        let powers: Vec<f64> = (0..n)
-            .map(|_| params.power * (1.0 + rng.next_f64()))
-            .collect();
-        let mut tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.3)).collect();
-        let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
-        for round in 0..30 {
-            // Mutate the transmitter set and positions sparsely.
-            let mover = tx[rng.range_usize(tx.len())];
-            let to = Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0));
-            field.move_transmitter(mover, pts[mover], to);
-            pts[mover] = to;
-            let departing = tx[rng.range_usize(tx.len())];
-            field.remove_transmitter(&pts, departing);
-            tx.retain(|&t| t != departing);
-            if let Some(joiner) = (0..n).find(|v| !tx.contains(v)) {
-                field.insert_transmitter(&pts, &powers, joiner);
-                tx.push(joiner);
-                tx.sort_unstable();
-            }
-            // The maintained field must decide exactly like a rebuilt one.
-            let mut fresh = InterferenceField::build(&pts, &powers, &tx, params.range());
-            assert_eq!(field.grid(), fresh.grid(), "round {round}: grid diverged");
-            assert_eq!(field.transmitter_count(), tx.len());
-            field
-                .audit_against_rebuild(&pts, &powers)
-                .unwrap_or_else(|e| panic!("round {round}: audit failed: {e}"));
-            for u in (0..n).filter(|u| !tx.contains(u)).take(20) {
-                for &v in &tx {
-                    let s1 = powers[v] / pts[v].dist(pts[u]).max(1e-12).powf(params.alpha);
-                    assert_eq!(
-                        field.decide(&pts, &powers, &params, pts[u], v, s1),
-                        fresh.decide(&pts, &powers, &params, pts[u], v, s1),
-                        "round {round}: maintained and fresh fields disagree \
-                         (receiver {u}, sender {v})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decide_at_agrees_with_decide_and_merges_stats() {
-        let params = SinrParams::default();
-        let mut rng = Rng64::new(9);
-        let n = 60;
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
-            .collect();
-        let powers = uniform_powers(n, &params);
-        let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.4)).collect();
-        let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
-        let shared = InterferenceField::build(&pts, &powers, &tx, params.range());
-        let mut a = FieldStats::default();
-        let mut b = FieldStats::default();
-        for (i, u) in (0..n).filter(|u| !tx.contains(u)).enumerate() {
-            for &v in &tx {
-                let s1 = params.signal(pts[v].dist(pts[u]));
-                let side = if i % 2 == 0 { &mut a } else { &mut b };
-                assert_eq!(
-                    shared.decide_at(&pts, &powers, &params, pts[u], v, s1, side),
-                    field.decide(&pts, &powers, &params, pts[u], v, s1),
-                    "decide_at and decide split (receiver {u}, sender {v})"
-                );
-            }
-        }
-        let mut merged = FieldStats::default();
-        merged.merge(a);
-        merged.merge(b);
-        assert_eq!(
-            merged,
-            field.stats(),
-            "merged shard counters must equal the sequential counters"
-        );
     }
 
     #[test]
@@ -528,11 +331,10 @@ mod tests {
         ];
         let tx = vec![0, 2];
         let powers = uniform_powers(3, &params);
-        let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
-        assert_eq!(field.transmitter_count(), 2);
+        let field = InterferenceField::build(&pts, &powers, &tx, params.range());
         let s1 = params.signal(pts[0].dist(pts[1]));
-        let _ = field.decide(&pts, &powers, &params, pts[1], 0, s1);
-        let st = field.stats();
+        let mut st = FieldStats::default();
+        let _ = field.decide(&pts, &powers, &params, pts[1], 0, s1, &mut st);
         assert_eq!(st.queries, 1);
         assert_eq!(
             st.residual_decided + st.exhausted + st.exact_fallbacks,

@@ -10,7 +10,7 @@
 //! * the SINR reception model of the paper's Eq. (1) ([`radio`]): a
 //!   [`SinrResolver`] trait with two provably-equivalent backends — the
 //!   naive oracle, and the default that adds grid short-circuits and a
-//!   persistent cell-aggregated interference field ([`field`]) for rounds
+//!   per-round cell-aggregated interference field ([`field`]) for rounds
 //!   with more than [`radio::DIRECT_MAX_TX`] transmitters;
 //! * a synchronous round [`engine`] executing [`engine::RoundBehavior`]
 //!   protocols over a [`Network`];
@@ -73,8 +73,8 @@ pub use grid::{Grid, TwoNearest};
 pub use network::{Network, NetworkBuilder, NetworkError};
 pub use point::Point;
 pub use radio::{
-    AggregatedResolver, FieldCache, NaiveResolver, Reception, ResolverKind, ResolverStats,
-    SinrResolver, DIRECT_MAX_TX,
+    AggregatedResolver, NaiveResolver, Reception, ResolverKind, ResolverStats, SinrResolver,
+    DIRECT_MAX_TX,
 };
 pub use rng::Rng64;
 

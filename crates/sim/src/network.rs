@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-global source of network mutation stamps. Every build and every
 /// incremental mutation draws a fresh value, so a stamp observed once is
-/// never reissued — caches keyed on it can trust a match absolutely, even
+/// never reissued — a reader keyed on it can trust a match absolutely, even
 /// across [`Network::clone`]s (a clone shares its origin's stamp until the
 /// first mutation gives it a fresh one).
 static STAMP_COUNTER: AtomicU64 = AtomicU64::new(1);
@@ -288,13 +288,14 @@ impl Network {
         self.powers[w] / d.powf(self.params.alpha)
     }
 
-    /// An opaque mutation stamp for cache invalidation: two observations of
-    /// the same stamp guarantee the network's geometry and powers have not
-    /// changed in between. Stamps are drawn from a process-global counter —
-    /// assigned at build, replaced by [`Network::move_node`] and
+    /// An opaque mutation stamp: two observations of the same stamp
+    /// guarantee the network's geometry and powers have not changed in
+    /// between. Stamps are drawn from a process-global counter — assigned
+    /// at build, replaced by [`Network::move_node`] and
     /// [`Network::set_power`] — and never reissued, so distinct `Network`
     /// values (including fresh builds over identical deployments) never
-    /// alias each other's stamps.
+    /// alias each other's stamps. No simulator path reads it; the
+    /// `perfbench` benchmark keys its repeated-round probe on it.
     #[inline]
     pub fn stamp(&self) -> u64 {
         self.stamp

@@ -36,10 +36,11 @@
 //!      conclusive; the rare inconclusive case falls back to the exact
 //!      far-field sum (see [`crate::field`] for the full argument).
 //!
-//!   The field is kept across rounds in a [`FieldCache`] keyed on the
-//!   network's mutation stamp and patched with the sparse transmitter diff
-//!   instead of rebuilt; the patched field is structurally identical to a
-//!   rebuilt one (audited by [`SinrResolver::audit`]).
+//!   The field is built for the round and dropped after it; nothing
+//!   carries over to the next round but scratch buffers. The protocols'
+//!   selector schedules rarely repeat a large transmitter set in
+//!   consecutive rounds, so a field kept across rounds would have little
+//!   to reuse.
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
 //! ([`Network::powers`](crate::Network::powers)); signals are then
@@ -65,8 +66,8 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Rounds with at most this many transmitters are resolved by the direct
-/// `O(n·|T|)` loop in [`AggregatedResolver`] too: below it, building or
-/// patching the interference field and querying the transmitter grid cost
+/// `O(n·|T|)` loop in [`AggregatedResolver`] too: below it, building the
+/// interference field and querying the transmitter grid cost
 /// more than summing every signal at every listener. On uniform fields
 /// of about 10 nodes per unit², the direct loop won up to about 10
 /// transmitters at n = 10⁴ and past 24 at n ≤ 10³, so 8 is on the direct
@@ -92,7 +93,7 @@ pub enum ResolverKind {
     /// Literal Eq. (1): `O(n·|T|)` oracle.
     Naive,
     /// Direct sum for small rounds; otherwise grid short-circuit plus a
-    /// persistent cell-aggregated interference field. The default.
+    /// per-round cell-aggregated interference field. The default.
     #[default]
     Aggregated,
 }
@@ -219,148 +220,22 @@ pub trait SinrResolver: fmt::Debug {
     /// Cumulative work counters.
     fn stats(&self) -> ResolverStats;
 
-    /// Verifies any incrementally-maintained internal state against a
-    /// rebuild from scratch (backends without such state trivially pass).
-    /// The aggregated backend compares its cached interference field's
-    /// subset grid with a fresh build over the same transmitter set —
-    /// structural identity there is exactly what guarantees
-    /// rebuild-identical decisions.
+    /// Verifies any state a backend keeps across rounds against a rebuild
+    /// from scratch. Neither in-tree backend keeps such state (scratch
+    /// buffers are overwritten every round), so both pass trivially; the
+    /// hook stays for wrapping backends that forward it.
     fn audit(&self, net: &Network) -> Result<(), String> {
         let _ = net;
         Ok(())
     }
 
-    /// What the persistent field cache did in the most recent
-    /// [`SinrResolver::resolve_into`] call: `None` for backends without a
-    /// cache (or when the round had no transmitters, so the cache was
-    /// never consulted). Feeds the engine's per-round trace events.
+    /// `Some(CacheOp::Rebuilt)` when the most recent
+    /// [`SinrResolver::resolve_into`] call resolved its round through an
+    /// interference field built for that round; `None` otherwise (the
+    /// direct loop, an empty round, or a backend without a field). Feeds
+    /// the engine's per-round trace events.
     fn last_cache_op(&self) -> Option<CacheOp> {
         None
-    }
-}
-
-/// A cross-round cache of one [`InterferenceField`], keyed on the owning
-/// network's mutation [stamp](Network::stamp). When the stamp still
-/// matches and the transmitter set is sorted ascending (as every
-/// engine-produced set is), the next round's field is obtained by patching
-/// the cached one with the sparse transmitter diff — `O(changes)` instead
-/// of an `O(|T|)` rebuild — and is *exactly* the field a rebuild would
-/// produce: the subset grid keeps its members sorted, and the sorted
-/// transmitter list keeps the exact-fallback summation order. A network
-/// mutation, an unsorted transmitter slice, or a diff bigger than the
-/// rebuild cost all fall back to a fresh build.
-#[derive(Debug, Default)]
-pub struct FieldCache {
-    /// Network stamp the cached field was built/patched against
-    /// (0 = nothing cached; real stamps start at 1).
-    stamp: u64,
-    field: Option<InterferenceField>,
-    /// Scratch for the diff walk (kept to avoid per-round allocation).
-    removals: Vec<usize>,
-    inserts: Vec<usize>,
-    /// What the latest [`FieldCache::obtain`] did (cleared by
-    /// [`FieldCache::reset_last_op`] at the top of each resolve, so
-    /// transmitter-less rounds read as "cache not consulted").
-    last_op: Option<CacheOp>,
-}
-
-impl FieldCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the field for this round's `(net, transmitters)`: patched
-    /// from the cached round when that is sound and cheaper, rebuilt
-    /// otherwise.
-    pub fn obtain(&mut self, net: &Network, transmitters: &[usize]) -> &InterferenceField {
-        let sorted = transmitters.windows(2).all(|w| w[0] < w[1]);
-        if sorted && self.stamp == net.stamp() && self.try_patch(net, transmitters) {
-            self.last_op = Some(CacheOp::Patched {
-                inserts: self.inserts.len(),
-                removals: self.removals.len(),
-            });
-            return self.field.as_ref().expect("patched field is cached"); // lint:allow(P1, reason = "cache hit just verified by try_patch")
-        }
-        // Rebuild. An unsorted transmitter slice must not seed later
-        // patches (patching keeps the list sorted, which would silently
-        // reorder the fallback summation), so it leaves the cache unkeyed.
-        self.last_op = Some(CacheOp::Rebuilt);
-        self.stamp = if sorted { net.stamp() } else { 0 };
-        // Free the stale field first, so a rebuild never holds two fields
-        // (peak memory, and the heap left behind for later allocations).
-        self.field = None;
-        self.field.insert(InterferenceField::build(
-            net.points(),
-            net.powers(),
-            transmitters,
-            net.params().range(),
-        ))
-    }
-
-    /// Diffs the cached transmitter set against `transmitters` (both sorted
-    /// ascending) and applies the sparse patch when it is cheaper than a
-    /// rebuild. Returns whether the cached field now covers `transmitters`.
-    fn try_patch(&mut self, net: &Network, transmitters: &[usize]) -> bool {
-        let Some(field) = self.field.as_mut() else {
-            return false;
-        };
-        let old = field.tx();
-        self.removals.clear();
-        self.inserts.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < transmitters.len() {
-            let (a, b) = (old[i] as usize, transmitters[j]);
-            match a.cmp(&b) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    self.removals.push(a);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.inserts.push(b);
-                    j += 1;
-                }
-            }
-        }
-        self.removals.extend(old[i..].iter().map(|&t| t as usize));
-        self.inserts.extend_from_slice(&transmitters[j..]);
-        // Patch only while it beats the O(|T|) rebuild.
-        if (self.removals.len() + self.inserts.len()) * 2 > old.len() + transmitters.len() {
-            return false;
-        }
-        for &t in &self.removals {
-            field.remove_transmitter(net.points(), t);
-        }
-        for &t in &self.inserts {
-            field.insert_transmitter(net.points(), net.powers(), t);
-        }
-        true
-    }
-
-    /// What the latest [`FieldCache::obtain`] since the last reset did.
-    pub fn last_op(&self) -> Option<CacheOp> {
-        self.last_op
-    }
-
-    /// Clears the patch/rebuild record; called at the top of each resolve
-    /// so rounds that never consult the cache report `None`.
-    pub fn reset_last_op(&mut self) {
-        self.last_op = None;
-    }
-
-    /// Audits the cached field (if it is still keyed to `net`) against a
-    /// fresh rebuild over its own transmitter set.
-    pub fn audit(&self, net: &Network) -> Result<(), String> {
-        match &self.field {
-            Some(field) if self.stamp == net.stamp() => {
-                field.audit_against_rebuild(net.points(), net.powers())
-            }
-            _ => Ok(()), // nothing cached, or stale: next round rebuilds
-        }
     }
 }
 
@@ -400,7 +275,7 @@ fn candidate_signals(net: &Network, tx_grid: &Grid, u: usize) -> CandidateSignal
     let r = net.max_range();
     if net.has_uniform_power() {
         let p = net.params();
-        let tn = tx_grid.two_nearest_within(net.points(), net.pos(u), r, None)?;
+        let tn = tx_grid.two_nearest_within(net.points(), net.pos(u), r)?;
         let s2 = if tn.d2.is_finite() {
             p.signal(tn.d2)
         } else {
@@ -521,8 +396,8 @@ impl SinrResolver for NaiveResolver {
 }
 
 /// The default backend: the direct loop for rounds with at most
-/// [`DIRECT_MAX_TX`] transmitters, and otherwise a cross-round
-/// [`InterferenceField`] with exact cell-grouped partial sums and a global
+/// [`DIRECT_MAX_TX`] transmitters, and otherwise an [`InterferenceField`]
+/// built for the round, with exact cell-grouped partial sums and a global
 /// residual bound (see the module docs). Scales to the 10⁵–10⁶-node
 /// deployments where per-receiver `O(|T|)` sums cannot reach.
 #[derive(Debug, Default)]
@@ -531,7 +406,8 @@ pub struct AggregatedResolver {
     slot_of: Vec<u32>,
     signals: Vec<f64>,
     stats: ResolverStats,
-    cache: FieldCache,
+    /// Whether the most recent round went through the field path.
+    field_round: bool,
 }
 
 impl AggregatedResolver {
@@ -549,11 +425,11 @@ impl SinrResolver for AggregatedResolver {
     fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
         out.clear();
         self.stats.rounds += 1;
-        self.cache.reset_last_op();
+        self.field_round = transmitters.len() > DIRECT_MAX_TX;
         if transmitters.is_empty() {
             return;
         }
-        if transmitters.len() <= DIRECT_MAX_TX {
+        if !self.field_round {
             resolve_direct(
                 net,
                 transmitters,
@@ -567,7 +443,7 @@ impl SinrResolver for AggregatedResolver {
         let n = net.len();
         let p = net.params();
         mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let field = self.cache.obtain(net, transmitters);
+        let field = InterferenceField::build(net.points(), net.powers(), transmitters, p.range());
         let mut fs = FieldStats::default();
         for u in 0..n {
             if self.is_tx[u] {
@@ -582,7 +458,7 @@ impl SinrResolver for AggregatedResolver {
                 self.stats.short_circuited += 1;
                 continue;
             }
-            if field.decide_at(net.points(), net.powers(), p, net.pos(u), v, s1, &mut fs) {
+            if field.decide(net.points(), net.powers(), p, net.pos(u), v, s1, &mut fs) {
                 out.push(Reception {
                     receiver: u,
                     sender: v,
@@ -598,12 +474,8 @@ impl SinrResolver for AggregatedResolver {
         self.stats
     }
 
-    fn audit(&self, net: &Network) -> Result<(), String> {
-        self.cache.audit(net)
-    }
-
     fn last_cache_op(&self) -> Option<CacheOp> {
-        self.cache.last_op()
+        self.field_round.then_some(CacheOp::Rebuilt)
     }
 }
 
@@ -947,7 +819,6 @@ mod tests {
             let mut naive = NaiveResolver::new();
             let want = naive.resolve(&net, &tx);
             assert_eq!(agg.resolve(&net, &tx), want, "|T|={k}");
-            agg.audit(&net).expect("cached field audits clean");
             let st = agg.stats();
             let delta = |f: fn(&ResolverStats) -> u64| f(&st) - f(&before);
             if k <= DIRECT_MAX_TX {
@@ -967,7 +838,7 @@ mod tests {
                     delta(|s| s.short_circuited + s.residual_decided) > 0,
                     "|T|={k}: the field path must decide candidates"
                 );
-                assert!(agg.last_cache_op().is_some(), "|T|={k}: field consulted");
+                assert_eq!(agg.last_cache_op(), Some(CacheOp::Rebuilt), "|T|={k}");
             }
             before = st;
         }
@@ -975,10 +846,10 @@ mod tests {
 
     #[test]
     fn persistent_aggregated_tracks_an_evolving_transmitter_set() {
-        // Round after round with sparse churn: the patched field must keep
-        // producing exactly the oracle's receptions, and the audit must
-        // confirm its grid equals a rebuild. Every fifth round is small
-        // enough for the direct path, which must leave the cache intact.
+        // Round after round with sparse churn, one long-lived resolver must
+        // keep producing exactly the oracle's receptions: nothing from one
+        // round's field or scratch buffers may leak into the next. Every
+        // fifth round is small enough for the direct path.
         let mut rng = Rng64::new(4242);
         let pts: Vec<Point> = (0..250)
             .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
@@ -1007,15 +878,14 @@ mod tests {
                 resolve_naive(&net, this_round),
                 "round {round}: persistent aggregated diverged"
             );
-            agg.audit(&net)
-                .unwrap_or_else(|e| panic!("round {round}: audit failed: {e}"));
         }
     }
 
     #[test]
     fn persistent_field_survives_network_mutation() {
-        // A network mutation between rounds must invalidate the cached
-        // field (stamp mismatch → rebuild), not poison it.
+        // A network mutation between rounds must reach the next round's
+        // field: nothing built against the old positions and powers may
+        // survive into it.
         let mut rng = Rng64::new(99);
         let pts: Vec<Point> = (0..150)
             .map(|_| Point::new(rng.range_f64(0.0, 3.0), rng.range_f64(0.0, 3.0)))
@@ -1023,22 +893,20 @@ mod tests {
         let mut net = net_of(pts);
         let tx: Vec<usize> = (0..150).filter(|_| rng.chance(0.35)).collect();
         let mut agg = AggregatedResolver::new();
-        let _ = agg.resolve(&net, &tx); // seed the cache
+        let _ = agg.resolve(&net, &tx);
         net.move_node(3, Point::new(1.5, 1.5));
         net.set_power(7, 2.0 * net.params().power);
         assert_eq!(
             agg.resolve(&net, &tx),
             resolve_naive(&net, &tx),
-            "stale cache leaked across a network mutation"
+            "stale state leaked across a network mutation"
         );
-        assert_eq!(agg.last_cache_op(), Some(CacheOp::Rebuilt));
-        agg.audit(&net).expect("rebuilt field audits clean");
     }
 
     #[test]
     fn persistent_aggregated_matches_the_default_aggregated() {
-        // A long-lived resolver (patching its cached field) against a fresh
-        // one per round (always rebuilding).
+        // A long-lived resolver (reusing its scratch buffers) against a
+        // fresh one per round.
         let mut rng = Rng64::new(5150);
         let pts: Vec<Point> = (0..200)
             .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
@@ -1050,17 +918,17 @@ mod tests {
             assert_eq!(
                 persistent.resolve(&net, &tx),
                 AggregatedResolver::new().resolve(&net, &tx),
-                "round {round}: persistence changed receptions"
+                "round {round}: reuse changed receptions"
             );
-            persistent.audit(&net).expect("audit");
         }
     }
 
     #[test]
     fn unsorted_transmitter_slices_bypass_the_cache_soundly() {
         // Callers are allowed to pass unsorted sets (the equivalence suites
-        // do); the cache must rebuild rather than patch, and fallback
-        // summation order must follow caller order exactly.
+        // do); the fallback summation order must follow caller order
+        // exactly, and the slot of each reception must index the caller's
+        // slice.
         let mut rng = Rng64::new(31337);
         let pts: Vec<Point> = (0..180)
             .map(|_| Point::new(rng.range_f64(0.0, 3.5), rng.range_f64(0.0, 3.5)))
@@ -1076,7 +944,6 @@ mod tests {
                 resolve_naive(&net, &tx),
                 "round {round}: unsorted transmitter slice mishandled"
             );
-            assert_eq!(agg.last_cache_op(), Some(CacheOp::Rebuilt), "round {round}");
         }
     }
 
