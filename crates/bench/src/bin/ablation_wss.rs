@@ -11,7 +11,7 @@
 //! spec instead (its `params` line sets the budget).
 
 use dcluster_bench::{
-    print_table, resolver_override, scenario_override, write_csv, Runner, ScenarioSpec,
+    or_exit, print_table, resolver_flag, scenario_override, write_csv, Runner, ScenarioSpec,
 };
 use dcluster_core::proximity::build_proximity_graph;
 use dcluster_core::run::{ReplayUnit, SchedHandle, SeedSeq};
@@ -30,7 +30,7 @@ fn ssf_variant(runner: &Runner, net: &Network, params: &ProtocolParams) -> (usiz
     );
     let nodes: Vec<usize> = (0..net.len()).collect();
     let unit = ReplayUnit::snapshot(net, SchedHandle::Ssf(ssf), &nodes, &vec![0; net.len()]);
-    let mut engine = runner.engine(net).expect("sweep spec is valid");
+    let mut engine = or_exit(runner.engine(net));
     let mut heard: Vec<Vec<(u64, usize)>> = vec![Vec::new(); net.len()];
     unit.run(
         &mut engine,
@@ -95,13 +95,13 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for spec in specs {
         let params = spec.params;
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let pairs = close_pairs(net.points(), None, net.density(), 1.0, net.params().epsilon);
 
         // wss (the paper's construction).
         let mut seeds = SeedSeq::new(params.seed);
-        let mut engine = runner.engine(&net).expect("sweep spec is valid");
+        let mut engine = or_exit(runner.engine(&net));
         let members: Vec<usize> = (0..net.len()).collect();
         let p = build_proximity_graph(
             &mut engine,

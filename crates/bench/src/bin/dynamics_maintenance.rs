@@ -20,9 +20,9 @@
 //! Flags: `--mobility none|waypoint|walk|group` (default `waypoint`),
 //! `--churn on|off` (default `on`), `--power uniform|het` (default
 //! `het`), `--resolver naive|aggregated` — the *primary* backend
-//! whose run is recorded and rerun for the determinism check (default
-//! `aggregated`; the other backend always runs too, for the agreement
-//! gate) — or `--scenario <file>.scn` to run one committed spec through
+//! whose run is recorded and rerun for the determinism check (default:
+//! `DCLUSTER_RESOLVER`, else `aggregated`; the other backend always runs
+//! too, for the agreement gate) — or `--scenario <file>.scn` to run one committed spec through
 //! the maintenance workload instead.
 //! Tiers via `DCLUSTER_SCALE=ci|quick|full`; the `ci` tier exits non-zero
 //! on any agreement/determinism/audit/coverage failure or if incremental
@@ -32,8 +32,8 @@
 //! `BENCH_dynamics.json`.
 
 use dcluster_bench::{
-    epoch_row, flag_value, print_table, resolver_override, run_scenario_flag, scale, write_csv,
-    DynamicsSpec, Runner, Scale, ScenarioSpec, Workload, WorkloadOutcome, EPOCH_HEADERS,
+    epoch_row, flag_value, or_exit, print_table, resolver_flag, run_scenario_flag, scale,
+    write_csv, DynamicsSpec, Runner, Scale, ScenarioSpec, Workload, WorkloadOutcome, EPOCH_HEADERS,
 };
 use dcluster_core::maintenance::EpochReport;
 use dcluster_dynamics::{MobilityKind, World};
@@ -120,17 +120,22 @@ fn spec_for(sc: Scenario, n: usize, epochs: u64) -> ScenarioSpec {
     spec
 }
 
-/// Runs the full maintenance scenario with one resolver backend; returns
-/// the per-epoch reports (the deterministic fingerprint of the run).
-fn run_scenario(spec: &ScenarioSpec, kind: ResolverKind) -> Vec<EpochReport> {
-    let report = Runner::new(spec.clone())
-        .with_resolver_override(Some(kind))
-        .run(&Workload::Maintenance)
-        .expect("sweep spec is valid");
+/// Runs the full maintenance scenario with the backend `kind` (else the
+/// runner's own choice); returns the backend used and the per-epoch
+/// reports (the deterministic fingerprint of the run).
+fn run_scenario(
+    spec: &ScenarioSpec,
+    kind: Option<ResolverKind>,
+) -> (ResolverKind, Vec<EpochReport>) {
+    let report = or_exit(
+        Runner::new(spec.clone())
+            .with_resolver_override(kind)
+            .run(&Workload::Maintenance),
+    );
     let WorkloadOutcome::Maintenance { epochs, .. } = report.outcome else {
         unreachable!("maintenance workload returns a maintenance outcome");
     };
-    epochs
+    (report.resolver, epochs)
 }
 
 struct ScalingRow {
@@ -196,7 +201,6 @@ fn main() {
     }
     let tier = scale();
     let sc = scenario_from_flags();
-    let primary = resolver_override().unwrap_or(ResolverKind::Aggregated);
     let (n, epochs) = match tier {
         Scale::Ci => (80, 3),
         Scale::Quick => (150, 5),
@@ -207,18 +211,20 @@ fn main() {
         Scale::Quick => &[10_000, 20_000],
         Scale::Full => &[10_000, 50_000, 100_000],
     };
+    let spec = spec_for(sc, n, epochs);
+    // The primary backend is the runner's choice: flag, then env, then
+    // the default (the sweep spec pins none).
+    let (primary, reference) = run_scenario(&spec, resolver_flag());
     println!(
         "# dynamics_maintenance — tier {tier:?}, mobility {}, churn {}, power {}, primary resolver {primary}",
         sc.mobility,
         if sc.churn { "on" } else { "off" },
         if sc.het_power { "het" } else { "uniform" },
     );
-    let spec = spec_for(sc, n, epochs);
 
     // ---- Part 1: maintenance sweep, all backends + determinism check.
     let mut failures = 0u32;
-    let reference = run_scenario(&spec, primary);
-    let rerun = run_scenario(&spec, primary);
+    let (_, rerun) = run_scenario(&spec, Some(primary));
     if reference != rerun {
         eprintln!("FAIL: repeated {primary} runs are not byte-identical");
         failures += 1;
@@ -227,7 +233,7 @@ fn main() {
         if kind == primary {
             continue;
         }
-        let got = run_scenario(&spec, kind);
+        let (_, got) = run_scenario(&spec, Some(kind));
         for (a, b) in reference.iter().zip(&got) {
             // The resolver field differs by construction; everything else
             // (clusters, lifetimes, violations, rounds) must be identical.

@@ -9,8 +9,8 @@
 
 use dcluster_baselines::local::{self, FeedbackPreset};
 use dcluster_bench::{
-    print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec, Workload,
-    WorkloadOutcome,
+    or_exit, print_table, resolver_flag, run_scenario_flag, write_csv, Runner, ScenarioSpec,
+    Workload, WorkloadOutcome,
 };
 
 fn main() {
@@ -20,14 +20,12 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (i, &delta) in [6usize, 12].iter().enumerate() {
         let spec = ScenarioSpec::degree(format!("energy-d{delta}"), 650 + i as u64, 70, delta);
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let d_real = net.max_degree().max(1);
         let cap = 3_000_000;
 
-        let ours = runner
-            .run_on(net.clone(), &Workload::LocalBroadcast)
-            .expect("sweep spec is valid");
+        let ours = or_exit(runner.run_on(net.clone(), &Workload::LocalBroadcast));
         let WorkloadOutcome::LocalBroadcast { complete, .. } = ours.outcome else {
             unreachable!("local workload returns a local outcome");
         };

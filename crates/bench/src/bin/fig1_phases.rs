@@ -7,7 +7,7 @@
 //! Pass `--scenario <file>.scn` to trace a different workload.
 
 use dcluster_bench::{
-    print_table, resolver_override, run_scenario_flag, write_csv, DeployLayer, Runner,
+    or_exit, print_table, resolver_flag, run_scenario_flag, write_csv, DeployLayer, Runner,
     ScenarioSpec, Workload, WorkloadOutcome,
 };
 
@@ -41,13 +41,13 @@ fn main() {
     if run_scenario_flag(workload.clone()) {
         return;
     }
-    let runner = Runner::new(fig1_spec()).with_resolver_override(resolver_override());
+    let runner = Runner::new(fig1_spec()).with_resolver_override(resolver_flag());
     let net = runner.build_network().expect("sweep spec is valid");
     assert!(
         net.comm_graph().is_connected(),
         "workload must be connected"
     );
-    let out = runner.run_on(net, &workload).expect("sweep spec is valid");
+    let out = or_exit(runner.run_on(net, &workload));
     let WorkloadOutcome::GlobalBroadcast {
         delivered_all,
         phases,

@@ -7,7 +7,7 @@
 //! logic runs Algorithm 1 directly.
 
 use dcluster_bench::{
-    print_table, resolver_override, scenario_override, write_csv, Runner, ScenarioSpec,
+    or_exit, print_table, resolver_flag, scenario_override, write_csv, Runner, ScenarioSpec,
 };
 use dcluster_core::proximity::build_proximity_graph;
 use dcluster_core::{ProtocolParams, SeedSeq};
@@ -27,10 +27,10 @@ fn main() {
     for spec in specs {
         let params = spec.params;
         kappa = params.kappa;
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let mut seeds = SeedSeq::new(params.seed);
-        let mut engine = runner.engine(&net).expect("sweep spec is valid");
+        let mut engine = or_exit(runner.engine(&net));
         let members: Vec<usize> = (0..net.len()).collect();
         let p = build_proximity_graph(
             &mut engine,

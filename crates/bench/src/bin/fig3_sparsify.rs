@@ -5,7 +5,7 @@
 //! (`--scenario <file>.scn` runs both variants on that deployment).
 
 use dcluster_bench::{
-    print_table, resolver_override, scenario_override, write_csv, Runner, ScenarioSpec,
+    or_exit, print_table, resolver_flag, scenario_override, write_csv, Runner, ScenarioSpec,
 };
 use dcluster_core::mis::MisStrategy;
 use dcluster_core::sparsify::{
@@ -25,10 +25,10 @@ fn main() {
             .clone()
             .unwrap_or_else(|| ScenarioSpec::uniform(format!("fig3-{seed}"), seed, 60, 1.8));
         let params = spec.params;
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let mut seeds = SeedSeq::new(params.seed);
-        let mut engine = runner.engine(&net).expect("sweep spec is valid");
+        let mut engine = or_exit(runner.engine(&net));
         let all: Vec<usize> = (0..net.len()).collect();
         let gamma = net.density();
         let clusters = vec![1u64; net.len()];

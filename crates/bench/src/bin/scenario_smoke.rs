@@ -14,7 +14,7 @@
 //! one (observability must be inert), and (b) two traced runs produce
 //! byte-identical trace files.
 
-use dcluster_bench::{resolver_override, Runner, ScenarioSpec};
+use dcluster_bench::{or_exit, resolver_flag, Runner, ScenarioSpec};
 use std::fs;
 
 fn main() {
@@ -50,9 +50,9 @@ fn main() {
                 failures += 1;
             }
         }
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
-        let first = runner.run_default().expect("committed spec runs");
-        let second = runner.run_default().expect("committed spec runs");
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
+        let first = or_exit(runner.run_default());
+        let second = or_exit(runner.run_default());
         first.print();
         if first != second {
             eprintln!(
@@ -77,20 +77,22 @@ fn main() {
         // themselves must be deterministic.
         let trace_a = std::env::temp_dir().join(format!("smoke_{}_a.jsonl", first.scenario));
         let trace_b = std::env::temp_dir().join(format!("smoke_{}_b.jsonl", first.scenario));
-        let traced = runner
-            .clone()
-            .with_trace(Some(trace_a.clone()))
-            .run_default()
-            .expect("committed spec runs traced");
+        let traced = or_exit(
+            runner
+                .clone()
+                .with_trace(Some(trace_a.clone()))
+                .run_default(),
+        );
         if traced.to_markdown() != first.to_markdown() {
             eprintln!("FAIL: {file}: attaching a tracer changed the rendered report");
             failures += 1;
         }
-        let _ = runner
-            .clone()
-            .with_trace(Some(trace_b.clone()))
-            .run_default()
-            .expect("committed spec runs traced");
+        let _ = or_exit(
+            runner
+                .clone()
+                .with_trace(Some(trace_b.clone()))
+                .run_default(),
+        );
         match (fs::read(&trace_a), fs::read(&trace_b)) {
             (Ok(a), Ok(b)) if a == b && !a.is_empty() => {}
             (Ok(a), Ok(b)) => {

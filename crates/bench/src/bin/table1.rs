@@ -11,8 +11,8 @@
 
 use dcluster_baselines::local::{self, FeedbackPreset};
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
-    Workload, WorkloadOutcome,
+    full_scale, or_exit, print_table, resolver_flag, run_scenario_flag, write_csv, Runner,
+    ScenarioSpec, Workload, WorkloadOutcome,
 };
 
 fn main() {
@@ -47,16 +47,14 @@ fn main() {
             n,
             delta,
         ))
-        .with_resolver_override(resolver_override())
+        .with_resolver_override(resolver_flag())
     };
 
     // "This work" runs once per deployment; total and steady-state are two
     // views of the same execution.
     let mut ours: Vec<(u64, u64)> = Vec::new();
     for (di, &delta) in deltas.iter().enumerate() {
-        let report = runner_for(delta, di)
-            .run(&Workload::LocalBroadcast)
-            .expect("sweep spec is valid");
+        let report = or_exit(runner_for(delta, di).run(&Workload::LocalBroadcast));
         let WorkloadOutcome::LocalBroadcast {
             complete,
             sweep_rounds,

@@ -13,8 +13,8 @@
 
 use dcluster_baselines::global;
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
-    Workload, WorkloadOutcome,
+    full_scale, or_exit, print_table, resolver_flag, run_scenario_flag, write_csv, Runner,
+    ScenarioSpec, Workload, WorkloadOutcome,
 };
 
 /// The sweep's scenario spec for a corridor of the given length.
@@ -56,9 +56,7 @@ fn main() {
     let runners: Vec<Runner> = lengths
         .iter()
         .enumerate()
-        .map(|(i, &len)| {
-            Runner::new(corridor_spec(len, i)).with_resolver_override(resolver_override())
-        })
+        .map(|(i, &len)| Runner::new(corridor_spec(len, i)).with_resolver_override(resolver_flag()))
         .collect();
     let nets: Vec<(dcluster_sim::Network, u32)> = runners
         .iter()
@@ -82,15 +80,13 @@ fn main() {
                 2 => global::round_robin_flood(net, 0, cap).rounds,
                 3 => global::ssf_flood(net, 0, delta, 0.1, cap).rounds,
                 _ => {
-                    let report = runners[i]
-                        .run_on(
-                            net.clone(),
-                            &Workload::GlobalBroadcast {
-                                source: 0,
-                                token: 1,
-                            },
-                        )
-                        .expect("sweep spec is valid");
+                    let report = or_exit(runners[i].run_on(
+                        net.clone(),
+                        &Workload::GlobalBroadcast {
+                            source: 0,
+                            token: 1,
+                        },
+                    ));
                     let WorkloadOutcome::GlobalBroadcast { delivered_all, .. } = report.outcome
                     else {
                         unreachable!("global workload returns a global outcome");

@@ -6,8 +6,8 @@
 //! clustering workload; `--scenario <file>.scn` runs one spec instead.
 
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
-    Workload, WorkloadOutcome,
+    full_scale, or_exit, print_table, resolver_flag, run_scenario_flag, write_csv, Runner,
+    ScenarioSpec, Workload, WorkloadOutcome,
 };
 
 fn main() {
@@ -24,10 +24,11 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (i, &delta) in deltas.iter().enumerate() {
         let spec = ScenarioSpec::degree(format!("thm1-d{delta}"), 700 + i as u64, n, delta);
-        let out = Runner::new(spec)
-            .with_resolver_override(resolver_override())
-            .run(&Workload::Clustering)
-            .expect("sweep spec is valid");
+        let out = or_exit(
+            Runner::new(spec)
+                .with_resolver_override(resolver_flag())
+                .run(&Workload::Clustering),
+        );
         let WorkloadOutcome::Clustering { report: rep, .. } = &out.outcome else {
             unreachable!("clustering workload returns a clustering outcome");
         };

@@ -7,8 +7,8 @@
 //! `--scenario <file>.scn` runs one spec (local workload) instead.
 
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
-    Workload, WorkloadOutcome,
+    full_scale, or_exit, print_table, resolver_flag, run_scenario_flag, write_csv, Runner,
+    ScenarioSpec, Workload, WorkloadOutcome,
 };
 
 fn main() {
@@ -25,10 +25,11 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (i, &delta) in deltas.iter().enumerate() {
         let spec = ScenarioSpec::degree(format!("thm2-d{delta}"), 300 + i as u64, 70, delta);
-        let out = Runner::new(spec)
-            .with_resolver_override(resolver_override())
-            .run(&Workload::LocalBroadcast)
-            .expect("sweep spec is valid");
+        let out = or_exit(
+            Runner::new(spec)
+                .with_resolver_override(resolver_flag())
+                .run(&Workload::LocalBroadcast),
+        );
         let WorkloadOutcome::LocalBroadcast { complete, .. } = out.outcome else {
             unreachable!("local workload returns a local outcome");
         };
@@ -59,18 +60,16 @@ fn main() {
         let n = (len * 5.0) as usize;
         let spec =
             ScenarioSpec::corridor(format!("thm3-len{len}"), 400 + i as u64, n, len, 1.2, 0.5);
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let d = net.comm_graph().diameter().unwrap_or(1).max(1);
-        let out = runner
-            .run_on(
-                net,
-                &Workload::GlobalBroadcast {
-                    source: 0,
-                    token: 1,
-                },
-            )
-            .expect("sweep spec is valid");
+        let out = or_exit(runner.run_on(
+            net,
+            &Workload::GlobalBroadcast {
+                source: 0,
+                token: 1,
+            },
+        ));
         let WorkloadOutcome::GlobalBroadcast {
             delivered_all,
             phases,

@@ -5,8 +5,8 @@
 //! default) instead of the sweep.
 
 use dcluster_bench::{
-    print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec, Workload,
-    WorkloadOutcome,
+    or_exit, print_table, resolver_flag, run_scenario_flag, write_csv, Runner, ScenarioSpec,
+    Workload, WorkloadOutcome,
 };
 
 fn main() {
@@ -19,14 +19,12 @@ fn main() {
         let n = (len * 5.0) as usize;
         let spec =
             ScenarioSpec::corridor(format!("thm45-len{len}"), 800 + i as u64, n, len, 1.2, 0.5);
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let d = net.comm_graph().diameter().unwrap_or(0);
 
         // Theorem 4: wake-up from a single spontaneous node.
-        let w = runner
-            .run_on(net.clone(), &Workload::Wakeup { sources: vec![0] })
-            .expect("sweep spec is valid");
+        let w = or_exit(runner.run_on(net.clone(), &Workload::Wakeup { sources: vec![0] }));
         let WorkloadOutcome::Wakeup { all_awake, .. } = w.outcome else {
             unreachable!("wakeup workload returns a wakeup outcome");
         };
@@ -34,18 +32,14 @@ fn main() {
 
         // Theorem 4: wake-up from scattered spontaneous nodes.
         let spont: Vec<usize> = (0..net.len()).step_by(5).collect();
-        let w2 = runner
-            .run_on(net.clone(), &Workload::Wakeup { sources: spont })
-            .expect("sweep spec is valid");
+        let w2 = or_exit(runner.run_on(net.clone(), &Workload::Wakeup { sources: spont }));
         let WorkloadOutcome::Wakeup { all_awake, .. } = w2.outcome else {
             unreachable!("wakeup workload returns a wakeup outcome");
         };
         assert!(all_awake);
 
         // Theorem 5: leader election.
-        let le = runner
-            .run_on(net.clone(), &Workload::LeaderElection)
-            .expect("sweep spec is valid");
+        let le = or_exit(runner.run_on(net.clone(), &Workload::LeaderElection));
         let WorkloadOutcome::Leader { leader_id, probes } = le.outcome else {
             unreachable!("leader workload returns a leader outcome");
         };

@@ -44,9 +44,11 @@ pub fn or_exit<T>(result: Result<T, impl std::fmt::Display>) -> T {
     })
 }
 
-/// The `--resolver=KIND` / `--resolver KIND` CLI flag alone (no env
-/// fallback). Unknown kinds exit with the parse error, which lists every
-/// valid backend (a typo must not silently fall back).
+/// The `--resolver=KIND` / `--resolver KIND` CLI flag. The binaries pass
+/// it to [`Runner::with_resolver_override`]; `DCLUSTER_RESOLVER` is read
+/// by [`Runner::resolver_for`] alone, after the spec's `resolver` line.
+/// Unknown kinds exit with the parse error, which lists every valid
+/// backend (a typo must not silently fall back).
 pub fn resolver_flag() -> Option<dcluster_sim::ResolverKind> {
     flag_value("--resolver").map(|v| {
         or_exit(
@@ -54,15 +56,6 @@ pub fn resolver_flag() -> Option<dcluster_sim::ResolverKind> {
                 .map_err(|e| format!("--resolver: {e}")),
         )
     })
-}
-
-/// Resolver backend override for the harness binaries: the `--resolver`
-/// flag, else the `DCLUSTER_RESOLVER` env var; `None` means "use the
-/// default backend". Invalid values in either place exit
-/// with an error naming the valid backends.
-pub fn resolver_override() -> Option<dcluster_sim::ResolverKind> {
-    // Same env fallback the examples use (`Runner::resolver_for`).
-    resolver_flag().or_else(|| or_exit(dcluster_sim::ResolverKind::from_env()))
 }
 
 /// A `--flag value` / `--flag=value` string option from the command line
@@ -114,8 +107,8 @@ pub fn run_scenario_flag(default: Workload) -> bool {
         return false;
     };
     let workload = spec.workload.clone().unwrap_or(default);
-    // Flag-only override: a spec's pinned `resolver` line outranks the
-    // ambient DCLUSTER_RESOLVER env, but never an explicit flag.
+    // A spec's pinned `resolver` line outranks the ambient
+    // DCLUSTER_RESOLVER env, but never an explicit flag.
     let runner = Runner::new(spec)
         .with_resolver_override(resolver_flag())
         .with_trace(trace_flag());

@@ -27,22 +27,26 @@ pub struct ResolverDisagreement {
 /// Audits resolver-backend equivalence over a sequence of rounds: replays
 /// every transmitter set through each backend in `kinds` and returns the
 /// first disagreement with `kinds[0]`, or `None` if all backends agree on
-/// every round. Observer utility — used by the equivalence test-suites and
-/// the `scale_resolvers` CI gate; protocol logic never consults it.
+/// every round. Fewer than two kinds leave nothing to compare, so nothing
+/// is resolved. Observer utility — used by the equivalence test-suites
+/// and the `scale_resolvers` CI gate; protocol logic never consults it.
 pub fn audit_resolver_equivalence(
     net: &Network,
     rounds: &[Vec<usize>],
     kinds: &[ResolverKind],
 ) -> Option<ResolverDisagreement> {
     let (&reference, rest) = kinds.split_first()?;
-    let mut resolvers: Vec<_> = kinds.iter().map(|k| k.build()).collect();
+    if rest.is_empty() {
+        return None;
+    }
+    let mut head = reference.build();
+    let mut others: Vec<_> = rest.iter().map(|k| k.build()).collect();
     let mut expected = Vec::new();
     let mut got = Vec::new();
     for (round, tx) in rounds.iter().enumerate() {
-        let (head, tail) = resolvers.split_first_mut().expect("nonempty"); // lint:allow(P1, reason = "guarded: kinds is nonempty (split_first above)")
         head.resolve_into(net, tx, &mut expected);
         expected.sort_by_key(|r| (r.receiver, r.sender));
-        for (other, &kind) in tail.iter_mut().zip(rest) {
+        for (other, &kind) in others.iter_mut().zip(rest) {
             other.resolve_into(net, tx, &mut got);
             got.sort_by_key(|r| (r.receiver, r.sender));
             if got != expected {
@@ -270,6 +274,17 @@ mod tests {
             None,
             "empty backend list trivially agrees"
         );
+    }
+
+    #[test]
+    fn single_backend_audit_resolves_nothing() {
+        let (net, _) = two_cluster_net();
+        // Transmitter index n is out of bounds: resolving it would panic,
+        // so `None` shows that a lone backend is never run.
+        let rounds = vec![vec![0, net.len()]];
+        for kind in ResolverKind::ALL {
+            assert_eq!(audit_resolver_equivalence(&net, &rounds, &[kind]), None);
+        }
     }
 
     #[test]

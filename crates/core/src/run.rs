@@ -134,29 +134,6 @@ impl PartialEq for ReplayUnit {
 
 impl Eq for ReplayUnit {}
 
-/// Provenance record of one (re-)execution of a [`ReplayUnit`]: which
-/// resolver backend produced the trace, whether it was replayed, and its
-/// extent. Replays are only guaranteed identical when the reception sets
-/// are — which holds across backends by the resolver equivalence
-/// contract, but recording the backend makes any violation attributable
-/// when auditing a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitTrace {
-    /// The engine's backend. It resolved every round of this execution
-    /// unless `replayed`; then it resolved the taped earlier execution
-    /// these rounds were replayed from.
-    pub resolver: dcluster_sim::ResolverKind,
-    /// Whether the engine served this execution from its replay memo
-    /// (no resolver call) instead of resolving it.
-    pub replayed: bool,
-    /// Global engine round at which the execution started.
-    pub start_round: u64,
-    /// Rounds executed (= the schedule length).
-    pub rounds: u64,
-    /// Successful receptions delivered to `on_rx`.
-    pub receptions: u64,
-}
-
 /// Delivery callback: `(receiver, local_round, sender, message)`.
 pub type OnRx<'a> = &'a mut dyn FnMut(usize, u64, usize, &Msg);
 
@@ -219,9 +196,7 @@ impl ReplayUnit {
     /// pattern with the message given by `payload`; every reception is
     /// reported to `on_rx`. Costs `sched.len()` rounds, which the engine
     /// replays from its memo when this unit was its last keyed run.
-    /// Returns the [`UnitTrace`] recording which resolver backend produced
-    /// the trace and whether it was replayed.
-    pub fn run<P>(&self, engine: &mut Engine<'_>, payload: P, on_rx: OnRx<'_>) -> UnitTrace
+    pub fn run<P>(&self, engine: &mut Engine<'_>, payload: P, on_rx: OnRx<'_>)
     where
         P: Fn(usize) -> Msg,
     {
@@ -230,24 +205,14 @@ impl ReplayUnit {
         for m in &self.members {
             member_of[m.node] = Some((m.id, m.cluster));
         }
-        let start_round = engine.round();
-        let before = engine.stats();
         let mut b = UnitBehavior {
             sched: &self.sched,
             member_of: &member_of,
-            start: start_round,
+            start: engine.round(),
             payload,
             on_rx,
         };
         engine.run_keyed(self.key, &mut b, self.sched.len());
-        let after = engine.stats();
-        UnitTrace {
-            resolver: engine.resolver_kind(),
-            replayed: after.replayed_rounds > before.replayed_rounds,
-            start_round,
-            rounds: self.sched.len(),
-            receptions: after.receptions - before.receptions,
-        }
     }
 
     /// Node indices of the members.
@@ -314,7 +279,7 @@ mod tests {
         let unit = ReplayUnit::snapshot(&net, SchedHandle::Wss(wss), &nodes, &vec![0; net.len()]);
         let mut engine = Engine::new(&net);
         let mut first: Vec<(usize, u64, usize)> = Vec::new();
-        let first_trace = unit.run(
+        unit.run(
             &mut engine,
             |v| Msg::Hello {
                 id: net.id(v),
@@ -325,7 +290,7 @@ mod tests {
         let resolved = engine.resolver_stats().rounds;
         let mut second: Vec<(usize, u64, usize)> = Vec::new();
         // A clone shares the unit's replay key.
-        let second_trace = unit.clone().run(
+        unit.clone().run(
             &mut engine,
             |v| Msg::ClusterOf {
                 id: net.id(v),
@@ -341,7 +306,6 @@ mod tests {
             !first.is_empty(),
             "some receptions should occur in a 30-node cloud"
         );
-        assert!(!first_trace.replayed && second_trace.replayed);
         assert_eq!(
             engine.resolver_stats().rounds,
             resolved,
@@ -376,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn unit_trace_records_backend_and_extent() {
+    fn unit_run_spans_its_schedule_and_delivers_every_reception() {
         let net = small_net();
         let params = ProtocolParams::practical();
         let mut seeds = SeedSeq::new(6);
@@ -386,7 +350,7 @@ mod tests {
         for kind in dcluster_sim::ResolverKind::ALL {
             let mut engine = dcluster_sim::Engine::with_resolver_kind(&net, kind);
             let mut count = 0u64;
-            let trace = unit.run(
+            unit.run(
                 &mut engine,
                 |v| Msg::Hello {
                     id: net.id(v),
@@ -394,11 +358,13 @@ mod tests {
                 },
                 &mut |_, _, _, _| count += 1,
             );
-            assert_eq!(trace.resolver, kind);
-            assert!(!trace.replayed, "a fresh engine resolves the first run");
-            assert_eq!(trace.start_round, 0);
-            assert_eq!(trace.rounds, unit.sched.len());
-            assert_eq!(trace.receptions, count, "trace counts what on_rx saw");
+            let stats = engine.stats();
+            assert_eq!(engine.round(), unit.sched.len());
+            assert_eq!(
+                stats.replayed_rounds, 0,
+                "a fresh engine resolves the first run"
+            );
+            assert_eq!(stats.receptions, count, "on_rx saw every reception");
         }
     }
 

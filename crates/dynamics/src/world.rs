@@ -265,7 +265,8 @@ mod tests {
                 power: 0.5 * base,
             },
         ]);
-        assert!(!w.network().has_uniform_power());
+        assert_eq!(w.network().power_of(3), 4.0 * base);
+        assert_eq!(w.network().power_of(17), 0.5 * base);
         assert_eq!(w.stats().power_changes, 2);
         w.audit_incremental()
             .expect("power changes maintained incrementally");

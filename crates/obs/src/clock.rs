@@ -7,8 +7,8 @@
 //! genuinely needs timing — benchmarks, the `bench` crate's harnesses —
 //! takes a [`Clock`] and is handed a [`WallClock`] at the edge, while
 //! library code under test gets a [`ManualClock`]. Durations measured
-//! here must never flow into traces, reports or the
-//! [`crate::Registry`]; those are counts-only by construction.
+//! here must never flow into traces or reports; those are counts-only by
+//! construction.
 
 use std::cell::Cell;
 use std::time::Instant;

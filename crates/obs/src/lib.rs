@@ -2,9 +2,8 @@
 //!
 //! The instrument panel for the rest of the workspace: a zero-cost-when-
 //! disabled [`Tracer`] seam that the `Engine` and the protocol layer emit
-//! **phase spans** and **round events** into, a [`Registry`] of
-//! deterministic counters/histograms (counts only, never wall-clock), a
-//! versioned JSONL sink ([`JsonlSink`]) behind `--trace` /
+//! **phase spans** and **round events** into, an in-memory [`Recorder`]
+//! for tests, a versioned JSONL sink ([`JsonlSink`]) behind `--trace` /
 //! `DCLUSTER_TRACE`, and the one sanctioned [`Clock`](clock::Clock) seam
 //! for wall-clock timing.
 //!
@@ -17,8 +16,8 @@
 //! byte-identical traces — which is what makes `xtask tracediff` a
 //! *localizing* determinism check instead of a byte-compare oracle.
 //!
-//! Wall-clock time is deliberately not representable in [`Event`] or
-//! [`Registry`]. Benchmarks that need it go through [`clock::WallClock`],
+//! Wall-clock time is deliberately not representable in [`Event`].
+//! Benchmarks that need it go through [`clock::WallClock`],
 //! the only `std::time` site inside the deterministic crate set (enforced
 //! by `xtask lint` rule D2 via `lint.toml` path scoping).
 //!
@@ -36,12 +35,10 @@
 pub mod clock;
 pub mod jsonl;
 pub mod phase;
-pub mod registry;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use jsonl::{JsonlSink, TraceMeta, TRACE_SCHEMA};
 pub use phase::{PhaseSummary, PhaseTable};
-pub use registry::{Histogram, Registry};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -134,25 +131,10 @@ pub fn shared<T: Tracer + 'static>(t: T) -> Rc<RefCell<T>> {
     Rc::new(RefCell::new(t))
 }
 
-/// A tracer that drops every event — the explicit no-op impl.
-///
-/// The engine's disabled state is `None`, not a `NoopTracer`; this type
-/// exists for call sites that need *some* tracer (tests, generic code).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn on_event(&mut self, _ev: &Event) {}
-}
-
-/// An in-memory recording tracer: keeps the full event stream and feeds
-/// a [`Registry`] (event-kind counters, per-round |T|/reception
-/// histograms, silent-round count — the direct input for the ROADMAP's
-/// round-compression item).
+/// An in-memory recording tracer: keeps the full event stream.
 #[derive(Debug, Default)]
 pub struct Recorder {
     events: Vec<Event>,
-    registry: Registry,
 }
 
 impl Recorder {
@@ -165,31 +147,10 @@ impl Recorder {
     pub fn events(&self) -> &[Event] {
         &self.events
     }
-
-    /// The derived counters/histograms.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Consumes the recorder, returning the event stream.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
 }
 
 impl Tracer for Recorder {
     fn on_event(&mut self, ev: &Event) {
-        self.registry.inc(ev.kind());
-        if let Event::Round { tx, rx, cache, .. } = ev {
-            self.registry.observe("round_tx", *tx);
-            self.registry.observe("round_rx", *rx);
-            if *tx == 0 {
-                self.registry.inc("silent_rounds");
-            }
-            if let Some(CacheOp::Rebuilt) = cache {
-                self.registry.inc("cache_rebuilds");
-            }
-        }
         self.events.push(ev.clone());
     }
 }
@@ -221,10 +182,20 @@ mod tests {
             rx: 4,
         });
         assert_eq!(r.events().len(), 6);
-        assert_eq!(r.registry().counter("round"), 4);
-        assert_eq!(r.registry().counter("phase_start"), 1);
-        assert_eq!(r.registry().counter("silent_rounds"), 1);
-        assert_eq!(r.registry().counter("cache_rebuilds"), 3);
+        let count = |kind| r.events().iter().filter(|e| e.kind() == kind).count();
+        assert_eq!(count("round"), 4);
+        assert_eq!(count("phase_start"), 1);
+        assert_eq!(count("phase_end"), 1);
+        assert_eq!(
+            r.events()[3],
+            Event::Round {
+                round: 2,
+                tx: 0,
+                rx: 1,
+                cache: None
+            },
+            "events are kept in emission order"
+        );
     }
 
     #[test]

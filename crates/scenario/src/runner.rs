@@ -605,6 +605,23 @@ mod tests {
                 wake: 0.3,
             },
             DynamicsSpec::HetPower { spread: -2.0 },
+            DynamicsSpec::Waypoint {
+                speed: -1.0,
+                frac: 0.2,
+            },
+            DynamicsSpec::Waypoint {
+                speed: 0.25,
+                frac: 2.0,
+            },
+            DynamicsSpec::Walk {
+                step: f64::INFINITY,
+                frac: 0.2,
+            },
+            DynamicsSpec::Group {
+                speed: 0.2,
+                frac: -0.1,
+                groups: 4,
+            },
         ] {
             let runner = Runner::new(ok.clone().dynamics(bad.clone()));
             let err = runner.build_network().unwrap_err();

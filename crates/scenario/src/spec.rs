@@ -195,29 +195,48 @@ pub enum DynamicsSpec {
 }
 
 impl DynamicsSpec {
-    /// Checks the value ranges the models need: churn probabilities in
-    /// `[0, 1]` and a non-negative power spread. [`ScenarioSpec::parse`]
-    /// reports a failure with its line number, [`crate::Runner`] for
-    /// specs built in code.
+    /// Checks the value ranges the models need: mobility speeds and steps
+    /// and the power spread finite and non-negative, mobile fractions and
+    /// churn probabilities in `[0, 1]`. [`ScenarioSpec::parse`] reports a
+    /// failure with its line number, [`crate::Runner`] for specs built in
+    /// code.
     ///
     /// # Errors
     ///
     /// Names the offending key, its value and the allowed range.
     pub(crate) fn validate(&self) -> Result<(), String> {
+        let in_unit = |key: &str, v: f64| {
+            if (0.0..=1.0).contains(&v) {
+                Ok(())
+            } else {
+                Err(format!("{key}={v}: must lie in [0, 1]"))
+            }
+        };
+        let non_negative = |key: &str, v: f64| {
+            if v >= 0.0 && v.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("{key}={v}: must be finite and non-negative"))
+            }
+        };
         match *self {
-            DynamicsSpec::Churn { sleep, wake } => [("sleep", sleep), ("wake", wake)]
-                .into_iter()
-                .try_for_each(|(key, p)| {
-                    if (0.0..=1.0).contains(&p) {
-                        Ok(())
-                    } else {
-                        Err(format!("churn {key}={p}: must lie in [0, 1]"))
-                    }
-                }),
-            DynamicsSpec::HetPower { spread } if !(spread >= 0.0 && spread.is_finite()) => Err(
-                format!("het_power spread={spread}: must be finite and non-negative"),
-            ),
-            _ => Ok(()),
+            DynamicsSpec::Waypoint { speed, frac } => {
+                non_negative("waypoint speed", speed)?;
+                in_unit("waypoint frac", frac)
+            }
+            DynamicsSpec::Walk { step, frac } => {
+                non_negative("walk step", step)?;
+                in_unit("walk frac", frac)
+            }
+            DynamicsSpec::Group { speed, frac, .. } => {
+                non_negative("group speed", speed)?;
+                in_unit("group frac", frac)
+            }
+            DynamicsSpec::Churn { sleep, wake } => {
+                in_unit("churn sleep", sleep)?;
+                in_unit("churn wake", wake)
+            }
+            DynamicsSpec::HetPower { spread } => non_negative("het_power spread", spread),
         }
     }
 }
@@ -1047,6 +1066,14 @@ mod tests {
             ("churn sleep=0.1 wake=-0.1", "wake=-0.1"),
             ("het_power spread=-2", "spread=-2"),
             ("het_power spread=-0.5", "spread=-0.5"),
+            ("waypoint speed=-1 frac=0.2", "speed=-1"),
+            ("waypoint speed=0.25 frac=2", "frac=2"),
+            ("waypoint speed=inf frac=0.2", "'inf'"),
+            ("walk step=-0.1 frac=0.2", "step=-0.1"),
+            ("walk step=NaN frac=0.2", "'NaN'"),
+            ("walk step=0.1 frac=-0.5", "frac=-0.5"),
+            ("group speed=-0.2 frac=0.2 groups=4", "speed=-0.2"),
+            ("group speed=0.2 frac=1.5 groups=4", "frac=1.5"),
         ] {
             let text = format!("seed 1\ndeploy uniform n=10 side=2\ndynamics {bad}\n");
             let e = ScenarioSpec::parse(&text).unwrap_err();
@@ -1055,8 +1082,9 @@ mod tests {
         }
         // The range ends themselves are valid.
         let text = "deploy uniform n=10 side=2\ndynamics churn sleep=0 wake=1\n\
-                    dynamics het_power spread=0\n";
-        assert_eq!(ScenarioSpec::parse(text).unwrap().dynamics.len(), 2);
+                    dynamics het_power spread=0\ndynamics waypoint speed=0 frac=1\n\
+                    dynamics walk step=0 frac=0\ndynamics group speed=0 frac=1 groups=2\n";
+        assert_eq!(ScenarioSpec::parse(text).unwrap().dynamics.len(), 5);
     }
 
     #[test]

@@ -147,22 +147,6 @@ impl<'n> Engine<'n> {
         Self::with_resolver(net, kind.build())
     }
 
-    /// Creates an engine honoring the `DCLUSTER_RESOLVER` environment
-    /// variable when set, else the default backend — the
-    /// constructor examples and ad-hoc drivers should use, so they
-    /// exercise the same backend-selection path as the bench binaries.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error (naming every valid backend) when
-    /// `DCLUSTER_RESOLVER` is set to an unknown name.
-    pub fn from_env(net: &'n Network) -> Result<Self, String> {
-        Ok(match ResolverKind::from_env()? {
-            Some(kind) => Self::with_resolver_kind(net, kind),
-            None => Self::new(net),
-        })
-    }
-
     /// Creates an engine with a caller-constructed resolver backend.
     pub fn with_resolver(net: &'n Network, resolver: Box<dyn SinrResolver>) -> Self {
         Self {

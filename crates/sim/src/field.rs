@@ -106,7 +106,7 @@ impl InterferenceField {
         }
     }
 
-    /// The transmitter-subset grid (shared with nearest-sender queries).
+    /// The transmitter-subset grid (shared with the candidate-sender search).
     pub fn grid(&self) -> &Grid {
         &self.grid
     }

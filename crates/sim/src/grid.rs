@@ -1,7 +1,7 @@
 //! Uniform spatial hash grid.
 //!
 //! All geometric queries in the simulator (communication-graph construction,
-//! density estimation, nearest-transmitter search in the SINR resolver) go
+//! density estimation, the SINR resolver's candidate-transmitter search) go
 //! through this index. Cells have a fixed side length; a disk query of radius
 //! `r` touches `O((r/cell)²)` cells.
 //!
@@ -33,19 +33,6 @@ use std::collections::HashMap;
 pub struct Grid {
     cell: f64,
     cells: HashMap<(i64, i64), Vec<u32>>, // lint:allow(D1, reason = "cell buckets: keyed hot-path lookups, never iterated")
-}
-
-/// Result of [`Grid::two_nearest_within`]: the nearest stored point and
-/// the distances to it and to the second-nearest.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoNearest {
-    /// Index of the nearest stored point.
-    pub nearest: usize,
-    /// Distance to `nearest`.
-    pub d1: f64,
-    /// Distance to the second-nearest stored point (`f64::INFINITY` if
-    /// fewer than two are in range).
-    pub d2: f64,
 }
 
 impl Grid {
@@ -115,42 +102,6 @@ impl Grid {
     /// Counts stored points within distance `r` of `center`.
     pub fn count_within(&self, points: &[Point], center: Point, r: f64) -> usize {
         self.within(points, center, r).count()
-    }
-
-    /// Returns the nearest stored point within radius `r` of `center`,
-    /// with its distance and the second-nearest's. `None` if no stored
-    /// point is in range.
-    pub fn two_nearest_within(
-        &self,
-        points: &[Point],
-        center: Point,
-        r: f64,
-    ) -> Option<TwoNearest> {
-        let mut best: Option<(usize, f64)> = None;
-        let mut second_sq = f64::INFINITY;
-        let r_sq = r * r;
-        for ids in self.candidate_cells(center, r) {
-            for &i in ids {
-                let i = i as usize;
-                let d2 = points[i].dist_sq(center);
-                if d2 > r_sq {
-                    continue;
-                }
-                match best {
-                    None => best = Some((i, d2)),
-                    Some((_, b2)) if d2 < b2 => {
-                        second_sq = b2;
-                        best = Some((i, d2));
-                    }
-                    Some(_) => second_sq = second_sq.min(d2),
-                }
-            }
-        }
-        best.map(|(i, d2)| TwoNearest {
-            nearest: i,
-            d1: d2.sqrt(),
-            d2: second_sq.sqrt(),
-        })
     }
 
     /// Cell key of an arbitrary position under this grid's tiling.
@@ -255,40 +206,6 @@ mod tests {
                 let mut got: Vec<usize> = grid.within(&pts, c, r).collect();
                 got.sort_unstable();
                 assert_eq!(got, brute_within(&pts, c, r));
-            }
-        }
-    }
-
-    #[test]
-    fn two_nearest_matches_brute_force() {
-        let mut rng = Rng64::new(7);
-        let pts: Vec<Point> = (0..200)
-            .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
-            .collect();
-        let grid = Grid::build(&pts, 0.5);
-        for _ in 0..50 {
-            let c = Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0));
-            let r = 1.5;
-            let mut ds: Vec<(f64, usize)> = (0..pts.len())
-                .map(|i| (pts[i].dist(c), i))
-                .filter(|&(d, _)| d <= r)
-                .collect();
-            ds.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let got = grid.two_nearest_within(&pts, c, r);
-            match ds.len() {
-                0 => assert!(got.is_none()),
-                1 => {
-                    let tn = got.unwrap();
-                    assert_eq!(tn.nearest, ds[0].1);
-                    assert!((tn.d1 - ds[0].0).abs() < 1e-12);
-                    assert!(tn.d2.is_infinite());
-                }
-                _ => {
-                    let tn = got.unwrap();
-                    assert_eq!(tn.nearest, ds[0].1);
-                    assert!((tn.d1 - ds[0].0).abs() < 1e-12);
-                    assert!((tn.d2 - ds[1].0).abs() < 1e-12);
-                }
             }
         }
     }

@@ -69,7 +69,7 @@ pub use dcluster_obs::{
 pub use engine::{Engine, EngineStats, RoundBehavior, RoundStats};
 pub use field::{FieldStats, InterferenceField};
 pub use graph::Graph;
-pub use grid::{Grid, TwoNearest};
+pub use grid::Grid;
 pub use network::{Network, NetworkBuilder, NetworkError};
 pub use point::Point;
 pub use radio::{

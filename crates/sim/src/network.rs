@@ -109,10 +109,6 @@ pub struct Network {
     ranges: Vec<f64>,
     /// Cached `max(ranges)` — the candidate-search radius of the resolvers.
     max_range: f64,
-    /// Number of nodes whose power differs from `params.power`
-    /// (0 ⇔ the paper's uniform-power setting) — maintained incrementally
-    /// so `set_power` stays `O(Δ)`.
-    non_model_power: usize,
     grid: Grid,
     comm: Graph,
     id_to_idx: HashMap<u64, usize>, // lint:allow(D1, reason = "id-to-index lookup table; never iterated")
@@ -247,14 +243,6 @@ impl Network {
         &self.powers
     }
 
-    /// True iff every node transmits at the model power `params.power`
-    /// (the paper's uniform-power setting). Resolvers use this to keep the
-    /// nearest-transmitter fast path.
-    #[inline]
-    pub fn has_uniform_power(&self) -> bool {
-        self.non_model_power == 0
-    }
-
     /// Transmission range of node `v`: `(P_v / (β·noise))^{1/α}` — the
     /// farthest distance at which `v` alone can be decoded.
     #[inline]
@@ -328,12 +316,6 @@ impl Network {
         );
         self.stamp = next_stamp();
         let old_range = self.ranges[v];
-        if self.powers[v] != self.params.power {
-            self.non_model_power -= 1;
-        }
-        if power != self.params.power {
-            self.non_model_power += 1;
-        }
         self.powers[v] = power;
         let new_range = range_for(power, &self.params);
         self.ranges[v] = new_range;
@@ -485,7 +467,6 @@ impl NetworkBuilder {
         };
         let ranges: Vec<f64> = powers.iter().map(|&p| range_for(p, &self.params)).collect();
         let max_range = ranges.iter().copied().fold(0.0, f64::max);
-        let non_model_power = powers.iter().filter(|&&p| p != self.params.power).count();
         let range = self.params.range();
         let grid = Grid::build(&self.points, range);
         let eps = self.params.epsilon;
@@ -512,7 +493,6 @@ impl NetworkBuilder {
             powers,
             ranges,
             max_range,
-            non_model_power,
             grid,
             comm: Graph::from_adjacency(adj),
             id_to_idx,
@@ -629,7 +609,6 @@ mod tests {
     #[test]
     fn uniform_power_network_reports_the_model_range() {
         let net = Network::builder(square(3, 0.5)).build().unwrap();
-        assert!(net.has_uniform_power());
         assert!((net.max_range() - net.params().range()).abs() < 1e-12);
         for v in 0..net.len() {
             assert_eq!(net.power_of(v), net.params().power);
@@ -656,7 +635,6 @@ mod tests {
         .params(p)
         .build()
         .unwrap();
-        assert!(!net.has_uniform_power());
         assert!((net.range_of(0) - 2.0).abs() < 1e-12);
         assert!((net.max_range() - 2.0).abs() < 1e-12);
         assert!(!net.comm_graph().has_edge(0, 1), "weak side out of reach");
@@ -705,7 +683,6 @@ mod tests {
         net.set_power(0, 8.0 * p.power);
         net.set_power(1, 8.0 * p.power);
         assert!(net.comm_graph().has_edge(0, 1), "both ranges now 2");
-        assert!(!net.has_uniform_power());
         let fresh = Network::builder(vec![Point::new(0.0, 0.0), Point::new(0.9, 0.0)])
             .powers(vec![8.0 * p.power; 2])
             .build()
@@ -714,7 +691,7 @@ mod tests {
         assert_eq!(net.max_range(), fresh.max_range());
         net.set_power(0, p.power);
         net.set_power(1, p.power);
-        assert!(net.has_uniform_power(), "restored to the model power");
+        assert_eq!(net.powers(), &[p.power; 2], "restored to the model power");
         assert!(!net.comm_graph().has_edge(0, 1));
     }
 

@@ -9,10 +9,10 @@
 //! ```
 //!
 //! Because `β > 1`, at most one transmitter can be decoded by any receiver,
-//! and it is necessarily the one with the strongest signal (the nearest,
-//! under uniform power). Reception resolution is the hot path of every
-//! experiment binary, so it sits behind the [`SinrResolver`] trait with
-//! two interchangeable backends ([`ResolverKind`]):
+//! and it is necessarily the one with the strongest signal. Reception
+//! resolution is the hot path of every experiment binary, so it sits
+//! behind the [`SinrResolver`] trait with two interchangeable backends
+//! ([`ResolverKind`]):
 //!
 //! * [`NaiveResolver`] — the oracle. Evaluates Eq. (1) literally in
 //!   `O(n·|T|)`; the other backend must match it **exactly**.
@@ -22,9 +22,9 @@
 //!   small transmitter sets that dominate protocol rounds. Larger rounds
 //!   use a cell-aggregated
 //!   [`InterferenceField`](crate::field::InterferenceField):
-//!   1. a decodable transmitter lies within the transmission range
+//!   1. a decodable transmitter lies within its transmission range
 //!      (`signal(d) ≥ β·noise` is necessary), so the decode candidate comes
-//!      from a grid query of radius `range`;
+//!      from a grid query of radius `max_range`;
 //!   2. the second-strongest transmitter alone contributes `signal(d₂)`
 //!      interference, so a receiver failing `s₁ ≥ β·(noise + s₂)` is
 //!      skipped without any summing;
@@ -43,20 +43,21 @@
 //!   to reuse.
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
-//! ([`Network::powers`](crate::Network::powers)); signals are then
-//! `P_w / d^α` via [`Network::signal_from`](crate::Network::signal_from).
+//! ([`Network::powers`](crate::Network::powers)); signals are always
+//! `P_w / d^α` via [`Network::signal_from`](crate::Network::signal_from),
+//! and the paper's uniform power is the case where every `P_w` is equal.
 //! The field path keeps its exactness: any decodable transmitter must
 //! satisfy `P_w/d^α ≥ β·noise`, i.e. lie within
 //! [`Network::max_range`](crate::Network::max_range) of the receiver, so
-//! the candidate search stays a bounded disk query — but the decodable
-//! transmitter is the *strongest-signal* one, which under heterogeneous
-//! power need not be the nearest, so the candidate is found by a
-//! strongest-two scan instead of the nearest-two distance query (the
-//! uniform-power fast path is untouched).
+//! the candidate search is a bounded disk query that scans for the two
+//! strongest signals. A tie for the strongest signal (exact lattices
+//! under uniform power produce many) keeps the first-scanned sender; a
+//! tied top signal is never decodable (`β > 1`), so the choice cannot
+//! change a reception.
 //!
 //! Equivalence of both backends, on both sides of [`DIRECT_MAX_TX`], is
-//! enforced by property tests on random, clumped and grid-boundary
-//! deployments (`crates/sim/tests/radio_equivalence.rs`).
+//! enforced by property tests on random, clumped, grid-boundary and
+//! exact-tie lattice deployments (`crates/sim/tests/radio_equivalence.rs`).
 
 use crate::field::{FieldStats, InterferenceField};
 use crate::grid::Grid;
@@ -107,21 +108,6 @@ impl ResolverKind {
         match self {
             ResolverKind::Naive => "naive",
             ResolverKind::Aggregated => "aggregated",
-        }
-    }
-
-    /// The backend named by the `DCLUSTER_RESOLVER` environment variable:
-    /// `Ok(None)` when unset, and the parse error — naming every valid
-    /// backend — when set to an unknown name. A typo is never silently
-    /// ignored.
-    pub fn from_env() -> Result<Option<ResolverKind>, String> {
-        // lint:allow(D4, reason = "documented override: DCLUSTER_RESOLVER")
-        match std::env::var("DCLUSTER_RESOLVER") {
-            Ok(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|e| format!("DCLUSTER_RESOLVER: {e}")),
-            Err(_) => Ok(None),
         }
     }
 
@@ -267,25 +253,6 @@ fn two_strongest_within(net: &Network, grid: &Grid, u: crate::Point, r: f64) -> 
 /// `(sender, strongest signal, second-strongest signal)` or `None` when no
 /// transmitter is in range.
 type CandidateSignals = Option<(usize, f64, f64)>;
-
-/// Candidate search of the field path: nearest-two distance
-/// query under uniform power (bit-identical to the classic path),
-/// strongest-two signal scan under heterogeneous power.
-fn candidate_signals(net: &Network, tx_grid: &Grid, u: usize) -> CandidateSignals {
-    let r = net.max_range();
-    if net.has_uniform_power() {
-        let p = net.params();
-        let tn = tx_grid.two_nearest_within(net.points(), net.pos(u), r)?;
-        let s2 = if tn.d2.is_finite() {
-            p.signal(tn.d2)
-        } else {
-            0.0
-        };
-        Some((tn.nearest, p.signal(tn.d1), s2))
-    } else {
-        two_strongest_within(net, tx_grid, net.pos(u), r)
-    }
-}
 
 /// Marks `transmitters` in the reusable `is_tx`/`slot_of` scratch vectors.
 fn mark_transmitters(
@@ -449,7 +416,9 @@ impl SinrResolver for AggregatedResolver {
             if self.is_tx[u] {
                 continue; // half-duplex
             }
-            let Some((v, s1, i_low)) = candidate_signals(net, field.grid(), u) else {
+            let Some((v, s1, i_low)) =
+                two_strongest_within(net, field.grid(), net.pos(u), net.max_range())
+            else {
                 continue;
             };
             self.stats.candidates += 1;
@@ -670,7 +639,6 @@ mod tests {
                 .map(|_| base * (1.0 + 7.0 * rng.next_f64()))
                 .collect();
             let net = Network::builder(pts).powers(powers).build().unwrap();
-            assert!(!net.has_uniform_power());
             let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.25)).collect();
             for tx in [&tx[..], &tx[..tx.len().min(DIRECT_MAX_TX)]] {
                 let mut naive = resolve_naive(&net, tx);
@@ -704,8 +672,8 @@ mod tests {
         .params(p)
         .build()
         .unwrap();
-        // Strongest ≠ nearest: the grid fast path would pick node 0 and
-        // reject; the strongest-signal path must decode node 1.
+        // Strongest ≠ nearest: a nearest-first search would pick node 0
+        // and reject; the strongest-signal scan must decode node 1.
         let naive = resolve_naive(&net, &[0, 1]);
         assert_eq!(naive.len(), 1);
         assert_eq!(naive[0].sender, 1, "the high-power transmitter decodes");

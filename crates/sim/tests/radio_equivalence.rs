@@ -3,12 +3,12 @@
 //! docs (for the aggregated backend: small rounds run the oracle's own
 //! loop; on larger ones the cell sums are exact partial sums and the
 //! residual bound is only used when conclusive, so the decisions coincide
-//! with the full Eq. (1) sum). Property-tested over random, clumped and
-//! grid-boundary deployments, transmitter sets on both sides of
-//! `DIRECT_MAX_TX`, and SINR parameter regimes.
+//! with the full Eq. (1) sum). Property-tested over random, clumped,
+//! grid-boundary and exact-tie lattice deployments, transmitter sets on
+//! both sides of `DIRECT_MAX_TX`, and SINR parameter regimes.
 
 use dcluster_sim::rng::Rng64;
-use dcluster_sim::{Network, Point, Reception, ResolverKind, SinrParams, DIRECT_MAX_TX};
+use dcluster_sim::{deploy, Network, Point, Reception, ResolverKind, SinrParams, DIRECT_MAX_TX};
 use proptest::prelude::*;
 
 /// Canonical ordering so resolver outputs compare as sets.
@@ -145,5 +145,43 @@ proptest! {
         let tx: Vec<usize> =
             (0..rows * cols).filter(|_| rng.chance(tx_permille as f64 / 1000.0)).collect();
         assert_agrees_with_naive(&net, &tx, "grid-boundary")?;
+    }
+
+    /// Exact lattices (a perturbed grid with zero jitter) with the
+    /// transmitters on a sub-lattice: a checkerboard, the even-even points
+    /// or the even rows. Most listeners are then exactly equidistant from
+    /// their 2 or 4 nearest transmitters, so under uniform power the
+    /// strongest signal is tied and the aggregated backend's field path
+    /// picks a sender by scan order. Rounds keep more than
+    /// `DIRECT_MAX_TX` transmitters so that path is the one compared.
+    #[test]
+    fn backends_equal_naive_on_exact_lattice_ties(
+        seed in 0u64..10_000,
+        rows in 6usize..14,
+        cols in 6usize..14,
+        spacing_tenths in 2u32..10,
+        pattern in 0u32..3,
+        keep_permille in 500u32..1001,
+    ) {
+        let mut rng = Rng64::new(seed ^ 0x7e57);
+        let spacing = spacing_tenths as f64 / 10.0;
+        let pts = deploy::perturbed_grid(rows, cols, spacing, 0.0, &mut rng);
+        let net = Network::builder(pts).build().expect("nonempty");
+        let on_pattern = |v: usize| {
+            let (i, j) = (v / cols, v % cols);
+            match pattern {
+                0 => (i + j) % 2 == 0,
+                1 => i % 2 == 0 && j % 2 == 0,
+                _ => i % 2 == 0,
+            }
+        };
+        let full: Vec<usize> = (0..rows * cols).filter(|&v| on_pattern(v)).collect();
+        let kept: Vec<usize> = full
+            .iter()
+            .copied()
+            .filter(|_| rng.chance(keep_permille as f64 / 1000.0))
+            .collect();
+        let tx = if kept.len() > DIRECT_MAX_TX { kept } else { full };
+        assert_agrees_with_naive(&net, &tx, "exact-lattice")?;
     }
 }

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use dcluster_core::leader::leader_election;
     pub use dcluster_core::local_broadcast::local_broadcast;
     pub use dcluster_core::wakeup::wakeup;
-    pub use dcluster_core::{Msg, ProtocolParams, SeedSeq, Stack, UnitTrace};
+    pub use dcluster_core::{Msg, ProtocolParams, SeedSeq, Stack};
     pub use dcluster_dynamics::{Churn, DynamicsModel, MobilityKind, World, WorldUpdate};
     pub use dcluster_scenario::{
         DeployLayer, DeploySpec, DynamicsSpec, Report, Runner, Scale, ScenarioSpec, SpecError,
